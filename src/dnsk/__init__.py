@@ -13,9 +13,9 @@ from .syntax import (
     PPair, Pair, PredApp, ProofTerm, Prod, Proj1, Proj2, Rec, Reset, Shift,
     Signature, SimpleType, STAR, Star, Succ, TApp, TLam, Term, UNIT, Unit,
     Var, ZERO, Zero, Fst, Snd, Inl, Inr,
-    alpha_eq_formula, alpha_eq_proof, alpha_eq_term, apps, contains_control,
-    contains_shift, fresh_name, fv_formula, fv_term, is_arithmetical,
-    is_prime, neg, numeral, numeral_value, subst_formula, subst_term,
+    alpha_eq_formula, alpha_eq_proof, alpha_eq_term, contains_control,
+    contains_shift, fresh_name, fv_formula, fv_term, is_prime, neg, numeral,
+    numeral_value, subst_formula, subst_term,
 )
 from .parser import ParseError, parse_formula, parse_proof, parse_source, parse_term, parse_type
 from .printer import print_formula, print_proof, print_term, print_type
@@ -29,8 +29,8 @@ from .translate import (
 )
 from .extract import ExtractionEnv, ExtractionError, ac_realizer, extract_mr
 from .evaluate import (
-    EvalError, FuelExhausted, IllSorted, MachineConfig, Stuck,
-    eval_formula_bounded, normalize_proof, normalize_term, step_proof,
+    EvalError, FuelExhausted, IllSorted, Stuck, eval_formula_bounded,
+    normalize_proof, normalize_term,
 )
 from .theorems import (
     LIBRARY_SIGNATURE, TheoremEntry, axiom_instance, build_library,

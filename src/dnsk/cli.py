@@ -18,7 +18,7 @@ from .parser import (
     SourceFile, TermDecl, parse_source,
 )
 from .printer import print_formula, print_proof, print_term, print_type
-from .syntax import Signature, Var, contains_control, fresh_name, fv_formula
+from .syntax import Signature, Var, contains_control, fresh_name, fv_formula, neg
 from .translate import (
     TranslationError, dia_nn_simplify, dia_types, dia_formula, kuroda,
     kuroda_inner, mr_formula, mr_type, mrt_formula, spector_target,
@@ -109,7 +109,7 @@ def _translate_one(sig: Signature, name: str, a, mode: str, out) -> None:
         case "dia" | "dia-nn":
             w = fresh_name("w", free)
             c = fresh_name("c", free | {w})
-            d = dia_types(a if mode == "dia" else _double_neg(a))
+            d = dia_types(a if mode == "dia" else neg(neg(a)))
             vars_ = {w: d.witness, c: d.challenge}
             if mode == "dia":
                 body = dia_formula(sig, vars_, Var(w), Var(c), a)
@@ -120,17 +120,12 @@ def _translate_one(sig: Signature, name: str, a, mode: str, out) -> None:
             print(f"{name} : {print_formula(body)}", file=out)
         case "spector":
             t = fresh_name("t", free)
-            d = dia_types(_double_neg(a))
+            d = dia_types(neg(neg(a)))
             body = spector_target(sig, a, t)
             print(f"{name} : {t} : {print_type(d.witness)}", file=out)
             print(f"{name} : {print_formula(body)}", file=out)
         case _:
             raise _Failure(2, f"unknown translation mode {mode!r}")
-
-
-def _double_neg(a):
-    from .syntax import neg
-    return neg(neg(a))
 
 
 def _cmd_translate(args, out) -> int:

@@ -10,7 +10,6 @@ form (the delimiter must stay so the judgment remains derivable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from .syntax import (
@@ -18,7 +17,7 @@ from .syntax import (
     Imp, Inl, Inr, KernelError, Lam, NAT, numeral, numeral_value, Or, And,
     Pair, PApp, PLam, PPair, PredApp, ProofTerm, Proj1, Proj2, Rec, Reset,
     Bot, Shift, Signature, Snd, Star, Succ, Term, TApp, TLam, ExPair, Var,
-    Zero, ZERO, contains_shift, fresh_name, fv_proof_hyps, subst_formula,
+    Zero, contains_shift, fresh_name, fv_proof_hyps, subst_formula,
     subst_proof_hyp, subst_proof_term, subst_term,
 )
 from .typecheck import SortError, infer_term_type
@@ -91,37 +90,10 @@ def normalize_term(term_vars: Mapping, t: Term) -> Term:
 # Proof-term reduction
 
 
-def is_value(p: ProofTerm) -> bool:
-    match p:
-        case Hyp(_) | PLam(_, _) | TLam(_, _):
-            return True
-        case PPair(f, s):
-            return is_value(f) and is_value(s)
-        case Inl(q) | Inr(q) | ExPair(_, q):
-            return is_value(q)
-        case Ascribe(q, _):
-            return is_value(q)
-        case _:
-            return False
-
-
 def _unwrap(p: ProofTerm) -> ProofTerm:
     while isinstance(p, Ascribe):
         p = p.body
     return p
-
-
-@dataclass(frozen=True)
-class MachineConfig:
-    """A reduction state: the whole proof term in focus.
-
-    The evaluation context is recomputed by decomposition at each step, so
-    plugging the focus back is the identity."""
-
-    focus: ProofTerm
-
-    def plug(self) -> ProofTerm:
-        return self.focus
 
 
 class _ShiftCapture(Exception):
@@ -244,28 +216,21 @@ def _step(p: ProofTerm):
     raise TypeError(f"not a proof term: {p!r}")
 
 
-def step_proof(cfg: MachineConfig):
-    """One small step; returns the next MachineConfig or None when done."""
-    try:
-        r = _step(cfg.focus)
-    except _ShiftCapture:
-        raise Stuck("shift with no enclosing reset")
-    return None if r is None else MachineConfig(r)
-
-
 def normalize_proof(p: ProofTerm, fuel: int = 10000, trace: bool = False):
-    """Iterate step_proof to a normal form.
+    """Reduce to a normal form within ``fuel`` steps.
 
     Returns the normal form, or (normal form, trace list) when trace=True.
     The trace includes the initial and every subsequent configuration."""
-    cfg = MachineConfig(p)
-    steps = [cfg.focus]
+    steps = [p]
     for _ in range(fuel):
-        nxt = step_proof(cfg)
+        try:
+            nxt = _step(p)
+        except _ShiftCapture:
+            raise Stuck("shift with no enclosing reset")
         if nxt is None:
-            return (cfg.focus, steps) if trace else cfg.focus
-        cfg = nxt
-        steps.append(cfg.focus)
+            return (p, steps) if trace else p
+        p = nxt
+        steps.append(p)
     raise FuelExhausted(f"no normal form within {fuel} steps")
 
 
@@ -282,14 +247,12 @@ class MissingPredTable(EvalError):
 
 
 def eval_formula_bounded(sig: Signature, a: Formula, domain_bound: int,
-                         pred_tables: Mapping, semantics: str = "classical") -> bool:
+                         pred_tables: Mapping) -> bool:
     """Classical truth over the finite domain {0..n-1}.
 
     Every quantifier must range over nat.  pred_tables maps each predicate
     symbol to the set of argument tuples where it holds.  A nat-sorted term
     falling outside the domain makes the enclosing prime formula false."""
-    if semantics != "classical":
-        raise ValueError(f"unknown semantics {semantics!r}")
     n = domain_bound
 
     def term_value(t: Term) -> Optional[int]:

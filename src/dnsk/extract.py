@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .syntax import (
-    And, App, Arrow, Exists, Forall, Formula, Imp, KernelError, Lam, NAT,
-    Or, Pair, Prod, Proj1, Proj2, Rec, SimpleType, STAR, Succ, Term, Unit,
-    Var, ZERO, apps, fresh_name, fv_term,
+    App, Arrow, Forall, Formula, Imp, KernelError, Lam, NAT, Or, Pair, Prod,
+    Proj1, Proj2, Rec, SimpleType, STAR, Succ, Term, Unit, Var, ZERO,
+    fresh_name, fv_formula, fv_proof_termvars, fv_term, subst_term,
 )
 from .translate import mr_type
 from .typecheck import Derivation
@@ -110,8 +110,8 @@ class _Extractor:
                 v2 = self.fresh("r")
                 left = self.extract(kids[1], {**local, case_node.left_name: v1})
                 right = self.extract(kids[2], {**local, case_node.right_name: v2})
-                left = _subst(left, v1, Proj1(Proj1(s)))
-                right = _subst(right, v2, Proj2(Proj1(s)))
+                left = subst_term(left, v1, Proj1(Proj1(s)))
+                right = subst_term(right, v2, Proj2(Proj1(s)))
                 return _cond(mr_type(goal), Proj2(s), left, right)
             case "imp_i":
                 assert isinstance(goal, Imp)
@@ -134,8 +134,8 @@ class _Extractor:
                 node = d.subject
                 v = self.fresh("r")
                 body = self.extract(kids[1], {**local, node.hyp: v})
-                body = _subst(body, v, Proj1(s))
-                body = _subst(body, node.var, Proj2(s))
+                body = subst_term(body, v, Proj1(s))
+                body = subst_term(body, node.var, Proj2(s))
                 return body
             case "bot_e":
                 return dummy(mr_type(goal))
@@ -149,15 +149,7 @@ class _Extractor:
         raise ExtractionError("UnknownRule", f"unhandled rule {rule!r}")
 
 
-def _subst(t: Term, x: str, r: Term) -> Term:
-    from .syntax import subst_term
-
-    return subst_term(t, x, r)
-
-
 def _names_in(d: Derivation, out: set) -> None:
-    from .syntax import fv_formula, fv_proof_termvars
-
     out |= fv_formula(d.goal)
     out |= fv_proof_termvars(d.subject)
     node = d.subject

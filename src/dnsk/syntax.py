@@ -3,11 +3,19 @@
 All nodes are immutable (frozen dataclasses), so structural equality and
 hashing come for free.  Alpha-equivalence and capture-avoiding substitution
 are provided as functions over the named representation.
+
+Terms and formulas are traversed by hand.  Proof terms have two name
+spaces, hypotheses and individual variables, and are traversed through one
+table, PROOF_SLOTS: it gives each constructor but Hyp the kind of every
+field in field order, a proof child, a term, a formula or a binder of
+either name space, and a binder scopes over the next proof child.  Free
+names, substitution, alpha-equivalence and the occurs checks read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Mapping, Optional, Union
 
 
@@ -130,12 +138,6 @@ def numeral_value(t: Term) -> Optional[int]:
         n += 1
         t = t.arg
     return n if isinstance(t, Zero) else None
-
-
-def apps(fn: Term, *args: Term) -> Term:
-    for a in args:
-        fn = App(fn, a)
-    return fn
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -297,16 +299,6 @@ def is_prime(a: Formula) -> bool:
     return isinstance(a, (Bot, Eq0, PredApp))
 
 
-def is_arithmetical(a: Formula) -> bool:
-    match a:
-        case Forall(_, s, b) | Exists(_, s, b):
-            return s == NAT and is_arithmetical(b)
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            return is_arithmetical(l) and is_arithmetical(r)
-        case _:
-            return True
-
-
 def fv_formula(a: Formula) -> frozenset:
     match a:
         case Eq0(l, r):
@@ -331,28 +323,16 @@ def subst_formula(a: Formula, x: str, r: Term) -> Formula:
             return Eq0(subst_term(l, x, r), subst_term(rr, x, r))
         case PredApp(p, args):
             return PredApp(p, tuple(subst_term(t, x, r) for t in args))
-        case And(l, rr):
-            return And(subst_formula(l, x, r), subst_formula(rr, x, r))
-        case Or(l, rr):
-            return Or(subst_formula(l, x, r), subst_formula(rr, x, r))
-        case Imp(l, rr):
-            return Imp(subst_formula(l, x, r), subst_formula(rr, x, r))
-        case Forall(y, s, b):
+        case And(l, rr) | Or(l, rr) | Imp(l, rr):
+            return type(a)(subst_formula(l, x, r), subst_formula(rr, x, r))
+        case Forall(y, s, b) | Exists(y, s, b):
             if y == x:
                 return a
             if y in fv_term(r) and x in fv_formula(b):
                 y2 = fresh_name(y, fv_term(r) | fv_formula(b) | {x})
                 b = subst_formula(b, y, Var(y2))
                 y = y2
-            return Forall(y, s, subst_formula(b, x, r))
-        case Exists(y, s, b):
-            if y == x:
-                return a
-            if y in fv_term(r) and x in fv_formula(b):
-                y2 = fresh_name(y, fv_term(r) | fv_formula(b) | {x})
-                b = subst_formula(b, y, Var(y2))
-                y = y2
-            return Exists(y, s, subst_formula(b, x, r))
+            return type(a)(y, s, subst_formula(b, x, r))
         case _:
             return a
 
@@ -493,250 +473,161 @@ ProofTerm = Union[
 ]
 
 
-def papps(fn: ProofTerm, *args: ProofTerm) -> ProofTerm:
-    for a in args:
-        fn = PApp(fn, a)
-    return fn
+# slot kinds; the binder kinds HYP and VAR also name the two name spaces
+PROOF, TERM, FORMULA, HYP, VAR = "proof", "term", "formula", "hyp", "var"
+
+PROOF_SLOTS = {
+    PPair: (PROOF, PROOF),
+    Fst: (PROOF,),
+    Snd: (PROOF,),
+    Inl: (PROOF,),
+    Inr: (PROOF,),
+    Case: (PROOF, HYP, PROOF, HYP, PROOF),
+    PLam: (HYP, PROOF),
+    PApp: (PROOF, PROOF),
+    TLam: (VAR, PROOF),
+    TApp: (PROOF, TERM),
+    ExPair: (TERM, PROOF),
+    Dest: (PROOF, VAR, HYP, PROOF),
+    Efq: (PROOF,),
+    Reset: (PROOF,),
+    Shift: (HYP, PROOF),
+    Ascribe: (PROOF, FORMULA),
+}
+
+# free variables, substitution and alpha-equivalence of a term or formula slot
+_LEAF_OPS = {TERM: (fv_term, subst_term, _aeq_term),
+             FORMULA: (fv_formula, subst_formula, _aeq_formula)}
+
+
+def _plan(cls, slots) -> tuple:
+    """What a traversal reads of one constructor: a getter of all its fields,
+    each proof slot's index with the (index, kind) of the binders scoping
+    over it, and each term or formula slot's index with its _LEAF_OPS."""
+    names = [f.name for f in fields(cls)]
+    get = attrgetter(*names) if len(names) > 1 else (lambda p, n=names[0]: (getattr(p, n),))
+    children, leaves, binders = [], [], []
+    for i, kind in enumerate(slots):
+        if kind == PROOF:
+            children.append((i, tuple(binders)))
+            binders = []
+        elif kind in _LEAF_OPS:
+            leaves.append((i, *_LEAF_OPS[kind]))
+        else:
+            binders.append((i, kind))
+    return get, tuple(children), tuple(leaves)
+
+
+_PLANS = {cls: _plan(cls, slots) for cls, slots in PROOF_SLOTS.items()}
+_NO_NAMES: frozenset = frozenset()
+
+
+def _free_names(p: ProofTerm, ns: str) -> frozenset:
+    """Free names of a proof term in name space ``ns`` (HYP or VAR)."""
+    if type(p) is Hyp:
+        return frozenset((p.name,)) if ns == HYP else _NO_NAMES
+    get, children, leaves = _PLANS[type(p)]
+    vals = get(p)
+    out = _NO_NAMES
+    for i, binders in children:
+        fv = _free_names(vals[i], ns)
+        for j, kind in binders:
+            if kind == ns:
+                fv = fv - {vals[j]}
+        out = out | fv
+    if ns == VAR:
+        for i, leaf_fv, _, _ in leaves:
+            out = out | leaf_fv(vals[i])
+    return out
+
+
+def _subst(p: ProofTerm, ns: str, x: str, r, rfv: Mapping) -> ProofTerm:
+    """p[x := r] in name space ``ns``, where ``rfv`` maps each name space to
+    the free names of ``r``.  A child under a binder of x stays as it is,
+    binders included.  Under other binders, each one free in r is renamed
+    first, in field order, whether or not x occurs in the child."""
+    cls = type(p)
+    if cls is Hyp:
+        return r if ns == HYP and p.name == x else p
+    get, children, leaves = _PLANS[cls]
+    vals = list(get(p))
+    for i, binders in children:
+        child = vals[i]
+        if binders:
+            if any(kind == ns and vals[j] == x for j, kind in binders):
+                continue
+            for j, kind in binders:
+                b = vals[j]
+                if b in rfv[kind]:
+                    avoid = rfv[kind] | _free_names(child, kind)
+                    b2 = fresh_name(b, avoid | {x} if kind == ns else avoid)
+                    if kind == HYP:
+                        child = subst_proof_hyp(child, b, Hyp(b2))
+                    else:
+                        child = subst_proof_term(child, b, Var(b2))
+                    vals[j] = b2
+        vals[i] = _subst(child, ns, x, r, rfv)
+    if ns == VAR:
+        for i, _, subst, _ in leaves:
+            vals[i] = subst(vals[i], x, r)
+    return cls(*vals)
+
+
+def _aeq_proof(a: ProofTerm, b: ProofTerm, ha, hb, ta, tb, n: int) -> bool:
+    # one level counter for both name spaces, advanced past a child's binders
+    cls = type(a)
+    if cls is not type(b):
+        return False
+    if cls is Hyp:
+        return _aeq_var(a.name, b.name, ha, hb)
+    get, children, leaves = _PLANS[cls]
+    va, vb = get(a), get(b)
+    for i, _, _, aeq in leaves:
+        if not aeq(va[i], vb[i], ta, tb, n):
+            return False
+    for i, binders in children:
+        ha2, hb2, ta2, tb2, m = ha, hb, ta, tb, n
+        for j, kind in binders:
+            if kind == HYP:
+                ha2, hb2 = {**ha2, va[j]: m}, {**hb2, vb[j]: m}
+            else:
+                ta2, tb2 = {**ta2, va[j]: m}, {**tb2, vb[j]: m}
+            m += 1
+        if not _aeq_proof(va[i], vb[i], ha2, hb2, ta2, tb2, m):
+            return False
+    return True
+
+
+def _occurs(p: ProofTerm, classes: tuple) -> bool:
+    """True if a node of one of ``classes`` occurs anywhere in the proof."""
+    cls = type(p)
+    if cls in classes:
+        return True
+    if cls is Hyp:
+        return False
+    get, children, _ = _PLANS[cls]
+    vals = get(p)
+    return any(_occurs(vals[i], classes) for i, _ in children)
 
 
 def fv_proof_hyps(p: ProofTerm) -> frozenset:
     """Free hypothesis names of a proof term."""
-    match p:
-        case Hyp(a):
-            return frozenset((a,))
-        case PPair(f, s):
-            return fv_proof_hyps(f) | fv_proof_hyps(s)
-        case Fst(q) | Snd(q) | Inl(q) | Inr(q) | Efq(q) | Reset(q):
-            return fv_proof_hyps(q)
-        case Case(sc, a1, b1, a2, b2):
-            return fv_proof_hyps(sc) | (fv_proof_hyps(b1) - {a1}) | (fv_proof_hyps(b2) - {a2})
-        case PLam(a, b) | Shift(a, b):
-            return fv_proof_hyps(b) - {a}
-        case PApp(f, a):
-            return fv_proof_hyps(f) | fv_proof_hyps(a)
-        case TLam(_, b):
-            return fv_proof_hyps(b)
-        case TApp(f, _):
-            return fv_proof_hyps(f)
-        case ExPair(_, b):
-            return fv_proof_hyps(b)
-        case Dest(sc, _, a, b):
-            return fv_proof_hyps(sc) | (fv_proof_hyps(b) - {a})
-        case Ascribe(b, _):
-            return fv_proof_hyps(b)
-        case _:
-            return frozenset()
+    return _free_names(p, HYP)
 
 
 def fv_proof_termvars(p: ProofTerm) -> frozenset:
     """Free individual-variable names occurring in a proof term."""
-    match p:
-        case Hyp(_):
-            return frozenset()
-        case PPair(f, s) | PApp(f, s):
-            return fv_proof_termvars(f) | fv_proof_termvars(s)
-        case Fst(q) | Snd(q) | Inl(q) | Inr(q) | Efq(q) | Reset(q):
-            return fv_proof_termvars(q)
-        case Case(sc, _, b1, _, b2):
-            return fv_proof_termvars(sc) | fv_proof_termvars(b1) | fv_proof_termvars(b2)
-        case PLam(_, b) | Shift(_, b):
-            return fv_proof_termvars(b)
-        case TLam(x, b):
-            return fv_proof_termvars(b) - {x}
-        case TApp(f, t):
-            return fv_proof_termvars(f) | fv_term(t)
-        case ExPair(t, b):
-            return fv_term(t) | fv_proof_termvars(b)
-        case Dest(sc, x, _, b):
-            return fv_proof_termvars(sc) | (fv_proof_termvars(b) - {x})
-        case Ascribe(b, f):
-            return fv_proof_termvars(b) | fv_formula(f)
-        case _:
-            return frozenset()
-
-
-def _rebind_hyp(name: str, body: ProofTerm, avoid) -> tuple:
-    name2 = fresh_name(name, avoid)
-    if name2 != name:
-        body = subst_proof_hyp(body, name, Hyp(name2))
-    return name2, body
+    return _free_names(p, VAR)
 
 
 def subst_proof_hyp(p: ProofTerm, a: str, q: ProofTerm) -> ProofTerm:
     """Capture-avoiding substitution of a proof term for a hypothesis name."""
-    qh = fv_proof_hyps(q)
-    qt = fv_proof_termvars(q)
-
-    def go(p: ProofTerm) -> ProofTerm:
-        match p:
-            case Hyp(b):
-                return q if b == a else p
-            case PPair(f, s):
-                return PPair(go(f), go(s))
-            case Fst(b):
-                return Fst(go(b))
-            case Snd(b):
-                return Snd(go(b))
-            case Inl(b):
-                return Inl(go(b))
-            case Inr(b):
-                return Inr(go(b))
-            case Efq(b):
-                return Efq(go(b))
-            case Reset(b):
-                return Reset(go(b))
-            case PApp(f, s):
-                return PApp(go(f), go(s))
-            case TApp(f, t):
-                return TApp(go(f), t)
-            case ExPair(t, b):
-                return ExPair(t, go(b))
-            case Ascribe(b, f):
-                return Ascribe(go(b), f)
-            case PLam(b, body):
-                if b == a:
-                    return p
-                if b in qh:
-                    b, body = _rebind_hyp(b, body, qh | fv_proof_hyps(body) | {a})
-                return PLam(b, go(body))
-            case Shift(b, body):
-                if b == a:
-                    return p
-                if b in qh:
-                    b, body = _rebind_hyp(b, body, qh | fv_proof_hyps(body) | {a})
-                return Shift(b, go(body))
-            case TLam(x, body):
-                if x in qt:
-                    x2 = fresh_name(x, qt | fv_proof_termvars(body))
-                    body = subst_proof_term(body, x, Var(x2))
-                    x = x2
-                return TLam(x, go(body))
-            case Case(sc, a1, b1, a2, b2):
-                sc = go(sc)
-                if a1 != a:
-                    if a1 in qh:
-                        a1, b1 = _rebind_hyp(a1, b1, qh | fv_proof_hyps(b1) | {a})
-                    b1 = go(b1)
-                if a2 != a:
-                    if a2 in qh:
-                        a2, b2 = _rebind_hyp(a2, b2, qh | fv_proof_hyps(b2) | {a})
-                    b2 = go(b2)
-                return Case(sc, a1, b1, a2, b2)
-            case Dest(sc, x, b, body):
-                sc = go(sc)
-                if b == a:
-                    return Dest(sc, x, b, body)
-                if x in qt:
-                    x2 = fresh_name(x, qt | fv_proof_termvars(body))
-                    body = subst_proof_term(body, x, Var(x2))
-                    x = x2
-                if b in qh:
-                    b, body = _rebind_hyp(b, body, qh | fv_proof_hyps(body) | {a})
-                return Dest(sc, x, b, go(body))
-            case _:
-                return p
-
-    return go(p)
+    return _subst(p, HYP, a, q, {HYP: _free_names(q, HYP), VAR: _free_names(q, VAR)})
 
 
 def subst_proof_term(p: ProofTerm, x: str, t: Term) -> ProofTerm:
     """Substitute an individual term for a term variable inside a proof."""
-    ft = fv_term(t)
-
-    def go(p: ProofTerm) -> ProofTerm:
-        match p:
-            case Hyp(_):
-                return p
-            case PPair(f, s):
-                return PPair(go(f), go(s))
-            case Fst(b):
-                return Fst(go(b))
-            case Snd(b):
-                return Snd(go(b))
-            case Inl(b):
-                return Inl(go(b))
-            case Inr(b):
-                return Inr(go(b))
-            case Efq(b):
-                return Efq(go(b))
-            case Reset(b):
-                return Reset(go(b))
-            case PApp(f, s):
-                return PApp(go(f), go(s))
-            case PLam(a, b):
-                return PLam(a, go(b))
-            case Shift(a, b):
-                return Shift(a, go(b))
-            case TApp(f, u):
-                return TApp(go(f), subst_term(u, x, t))
-            case ExPair(u, b):
-                return ExPair(subst_term(u, x, t), go(b))
-            case Ascribe(b, f):
-                return Ascribe(go(b), subst_formula(f, x, t))
-            case TLam(y, b):
-                if y == x:
-                    return p
-                if y in ft:
-                    y2 = fresh_name(y, ft | fv_proof_termvars(b) | {x})
-                    b = subst_proof_term(b, y, Var(y2))
-                    y = y2
-                return TLam(y, go(b))
-            case Case(sc, a1, b1, a2, b2):
-                return Case(go(sc), a1, go(b1), a2, go(b2))
-            case Dest(sc, y, a, b):
-                sc = go(sc)
-                if y == x:
-                    return Dest(sc, y, a, b)
-                if y in ft:
-                    y2 = fresh_name(y, ft | fv_proof_termvars(b) | {x})
-                    b = subst_proof_term(b, y, Var(y2))
-                    y = y2
-                return Dest(sc, y, a, go(b))
-            case _:
-                return p
-
-    return go(p)
-
-
-def _aeq_proof(a: ProofTerm, b: ProofTerm, ha, hb, ta, tb, n: int) -> bool:
-    match a, b:
-        case (Hyp(x), Hyp(y)):
-            return _aeq_var(x, y, ha, hb)
-        case (PPair(f1, s1), PPair(f2, s2)) | (PApp(f1, s1), PApp(f2, s2)):
-            if type(a) is not type(b):
-                return False
-            return _aeq_proof(f1, f2, ha, hb, ta, tb, n) and _aeq_proof(s1, s2, ha, hb, ta, tb, n)
-        case (Fst(p), Fst(q)) | (Snd(p), Snd(q)) | (Inl(p), Inl(q)) | (Inr(p), Inr(q)) | (
-            Efq(p),
-            Efq(q),
-        ) | (Reset(p), Reset(q)):
-            if type(a) is not type(b):
-                return False
-            return _aeq_proof(p, q, ha, hb, ta, tb, n)
-        case (PLam(x, p), PLam(y, q)) | (Shift(x, p), Shift(y, q)):
-            if type(a) is not type(b):
-                return False
-            return _aeq_proof(p, q, {**ha, x: n}, {**hb, y: n}, ta, tb, n + 1)
-        case (TLam(x, p), TLam(y, q)):
-            return _aeq_proof(p, q, ha, hb, {**ta, x: n}, {**tb, y: n}, n + 1)
-        case (TApp(p, t), TApp(q, u)):
-            return _aeq_proof(p, q, ha, hb, ta, tb, n) and _aeq_term(t, u, ta, tb, n)
-        case (ExPair(t, p), ExPair(u, q)):
-            return _aeq_term(t, u, ta, tb, n) and _aeq_proof(p, q, ha, hb, ta, tb, n)
-        case (Case(s1, x1, p1, y1, q1), Case(s2, x2, p2, y2, q2)):
-            return (
-                _aeq_proof(s1, s2, ha, hb, ta, tb, n)
-                and _aeq_proof(p1, p2, {**ha, x1: n}, {**hb, x2: n}, ta, tb, n + 1)
-                and _aeq_proof(q1, q2, {**ha, y1: n}, {**hb, y2: n}, ta, tb, n + 1)
-            )
-        case (Dest(s1, x1, a1, p1), Dest(s2, x2, a2, p2)):
-            return _aeq_proof(s1, s2, ha, hb, ta, tb, n) and _aeq_proof(
-                p1, p2, {**ha, a1: n}, {**hb, a2: n}, {**ta, x1: n + 1}, {**tb, x2: n + 1}, n + 2
-            )
-        case (Ascribe(p, f), Ascribe(q, g)):
-            return _aeq_proof(p, q, ha, hb, ta, tb, n) and _aeq_formula(f, g, ta, tb, n)
-        case _:
-            return False
+    return _subst(p, VAR, x, t, {HYP: _NO_NAMES, VAR: fv_term(t)})
 
 
 def alpha_eq_proof(a: ProofTerm, b: ProofTerm) -> bool:
@@ -745,43 +636,11 @@ def alpha_eq_proof(a: ProofTerm, b: ProofTerm) -> bool:
 
 def contains_control(p: ProofTerm) -> bool:
     """True if any Shift or Reset node occurs anywhere in the proof."""
-    match p:
-        case Shift(_, _) | Reset(_):
-            return True
-        case PPair(f, s) | PApp(f, s):
-            return contains_control(f) or contains_control(s)
-        case Fst(q) | Snd(q) | Inl(q) | Inr(q) | Efq(q):
-            return contains_control(q)
-        case Case(sc, _, b1, _, b2):
-            return contains_control(sc) or contains_control(b1) or contains_control(b2)
-        case PLam(_, b) | TLam(_, b) | ExPair(_, b) | Ascribe(b, _):
-            return contains_control(b)
-        case TApp(f, _):
-            return contains_control(f)
-        case Dest(sc, _, _, b):
-            return contains_control(sc) or contains_control(b)
-        case _:
-            return False
+    return _occurs(p, (Shift, Reset))
 
 
 def contains_shift(p: ProofTerm) -> bool:
-    match p:
-        case Shift(_, _):
-            return True
-        case PPair(f, s) | PApp(f, s):
-            return contains_shift(f) or contains_shift(s)
-        case Fst(q) | Snd(q) | Inl(q) | Inr(q) | Efq(q) | Reset(q):
-            return contains_shift(q)
-        case Case(sc, _, b1, _, b2):
-            return contains_shift(sc) or contains_shift(b1) or contains_shift(b2)
-        case PLam(_, b) | TLam(_, b) | ExPair(_, b) | Ascribe(b, _):
-            return contains_shift(b)
-        case TApp(f, _):
-            return contains_shift(f)
-        case Dest(sc, _, _, b):
-            return contains_shift(sc) or contains_shift(b)
-        case _:
-            return False
+    return _occurs(p, (Shift,))
 
 
 # ---------------------------------------------------------------------------
@@ -796,6 +655,3 @@ class Signature:
 
     def arity(self, sym: str):
         return self.predicates.get(sym)
-
-
-EMPTY_SIGNATURE = Signature({})

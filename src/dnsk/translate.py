@@ -13,10 +13,9 @@ from typing import Mapping
 
 from .printer import print_type
 from .syntax import (
-    And, App, Arrow, BOT, Bot, Eq0, Exists, Forall, Formula, Imp, KernelError,
-    NAT, Or, Pair, PredApp, Prod, Proj1, Proj2, Signature, SimpleType, Term,
-    UNIT, Var, ZERO, fresh_name, fv_formula, fv_term, is_prime, neg,
-    subst_formula,
+    And, App, Arrow, Eq0, Exists, Forall, Formula, Imp, KernelError, NAT, Or,
+    Prod, Proj1, Proj2, Signature, SimpleType, Term, UNIT, Var, ZERO,
+    fresh_name, fv_formula, fv_term, is_prime, neg, subst_formula,
 )
 from .typecheck import SortError, infer_term_type
 
@@ -118,17 +117,18 @@ def _mr(t: Term, a: Formula, names: _Names, with_truth: bool) -> Formula:
     raise TypeError(f"not a formula: {a!r}")
 
 
-def _check_realizer(ctx_vars: Mapping[str, SimpleType], t: Term, a: Formula) -> None:
-    want = mr_type(a)
+def _check_sort(ctx_vars: Mapping[str, SimpleType], t: Term, want: SimpleType,
+                role: str) -> None:
+    """Raise the role's TranslationError (``RealizerTypeMismatch`` for the
+    realizer, and so on) unless ``t`` is well-sorted of sort ``want``."""
+    kind = f"{role.capitalize()}TypeMismatch"
     try:
         got = infer_term_type(ctx_vars, t)
     except SortError as e:
-        raise TranslationError("RealizerTypeMismatch", str(e)) from e
+        raise TranslationError(kind, str(e)) from e
     if got != want:
         raise TranslationError(
-            "RealizerTypeMismatch",
-            f"realizer has sort {print_type(got)}, formula wants {print_type(want)}",
-        )
+            kind, f"{role} has sort {print_type(got)}, formula wants {print_type(want)}")
 
 
 def _clause_names(t: Term, a: Formula, extra=()) -> _Names:
@@ -137,14 +137,14 @@ def _clause_names(t: Term, a: Formula, extra=()) -> _Names:
 
 def mr_formula(sig: Signature, ctx_vars: Mapping[str, SimpleType], t: Term, a: Formula) -> Formula:
     """The formula stating that ``t`` realizes ``a``."""
-    _check_realizer(ctx_vars, t, a)
+    _check_sort(ctx_vars, t, mr_type(a), "realizer")
     return _mr(t, a, _clause_names(t, a, ctx_vars), with_truth=False)
 
 
 def mrt_formula(sig: Signature, ctx_vars: Mapping[str, SimpleType], t: Term, a: Formula) -> Formula:
     """Realizability with truth: the implication clause keeps the original
     implication as a conjunct."""
-    _check_realizer(ctx_vars, t, a)
+    _check_sort(ctx_vars, t, mr_type(a), "realizer")
     return _mr(t, a, _clause_names(t, a, ctx_vars), with_truth=True)
 
 
@@ -217,24 +217,8 @@ def dia_formula(sig: Signature, ctx_vars: Mapping[str, SimpleType], t: Term, s: 
                 a: Formula) -> Formula:
     """The quantifier-free kernel of ``a`` at witness ``t`` and challenge ``s``."""
     d = dia_types(a)
-    try:
-        got_w = infer_term_type(ctx_vars, t)
-    except SortError as e:
-        raise TranslationError("WitnessTypeMismatch", str(e)) from e
-    if got_w != d.witness:
-        raise TranslationError(
-            "WitnessTypeMismatch",
-            f"witness has sort {print_type(got_w)}, formula wants {print_type(d.witness)}",
-        )
-    try:
-        got_c = infer_term_type(ctx_vars, s)
-    except SortError as e:
-        raise TranslationError("ChallengeTypeMismatch", str(e)) from e
-    if got_c != d.challenge:
-        raise TranslationError(
-            "ChallengeTypeMismatch",
-            f"challenge has sort {print_type(got_c)}, formula wants {print_type(d.challenge)}",
-        )
+    _check_sort(ctx_vars, t, d.witness, "witness")
+    _check_sort(ctx_vars, s, d.challenge, "challenge")
     return _dia(t, s, a)
 
 
@@ -253,23 +237,9 @@ def dia_nn_simplify(sig: Signature, ctx_vars: Mapping[str, SimpleType], a: Formu
     """Simplify the translation of a double negation: given a witness and a
     challenge for ``~~a``, produce the direct translation of ``a`` at the
     projected compound indices."""
-    nn = neg(neg(a))
-    d = dia_types(nn)
-    try:
-        got_w = infer_term_type(ctx_vars, t)
-        got_c = infer_term_type(ctx_vars, s)
-    except SortError as e:
-        raise TranslationError("WitnessTypeMismatch", str(e)) from e
-    if got_w != d.witness:
-        raise TranslationError(
-            "WitnessTypeMismatch",
-            f"witness has sort {print_type(got_w)}, wanted {print_type(d.witness)}",
-        )
-    if got_c != d.challenge:
-        raise TranslationError(
-            "ChallengeTypeMismatch",
-            f"challenge has sort {print_type(got_c)}, wanted {print_type(d.challenge)}",
-        )
+    d = dia_types(neg(neg(a)))
+    _check_sort(ctx_vars, t, d.witness, "witness")
+    _check_sort(ctx_vars, s, d.challenge, "challenge")
     w, c = _nn_indices(t, s)
     return _dia(w, c, a)
 

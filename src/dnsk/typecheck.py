@@ -59,9 +59,6 @@ class Context:
         return out
 
 
-EMPTY_CONTEXT = Context()
-
-
 def infer_term_type(term_vars: Mapping[str, SimpleType], t: Term) -> SimpleType:
     """Synthesize the unique sort of a term, or raise SortError."""
     match t:

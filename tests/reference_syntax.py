@@ -1,0 +1,295 @@
+"""The hand-written proof traversals the slot table in ``dnsk.syntax``
+replaced, kept verbatim as the oracle of ``test_proof_traversals.py``."""
+
+from __future__ import annotations
+
+from dnsk.syntax import (
+    Ascribe, Case, Dest, Efq, ExPair, Fst, Hyp, Inl, Inr, PApp, PLam, PPair,
+    ProofTerm, Reset, Shift, Snd, TApp, TLam, Term, Var, _aeq_formula, _aeq_term,
+    _aeq_var, fresh_name, fv_formula, fv_term, subst_formula, subst_term,
+)
+
+
+def fv_proof_hyps(p: ProofTerm) -> frozenset:
+    """Free hypothesis names of a proof term."""
+    match p:
+        case Hyp(a):
+            return frozenset((a,))
+        case PPair(f, s):
+            return fv_proof_hyps(f) | fv_proof_hyps(s)
+        case Fst(q) | Snd(q) | Inl(q) | Inr(q) | Efq(q) | Reset(q):
+            return fv_proof_hyps(q)
+        case Case(sc, a1, b1, a2, b2):
+            return fv_proof_hyps(sc) | (fv_proof_hyps(b1) - {a1}) | (fv_proof_hyps(b2) - {a2})
+        case PLam(a, b) | Shift(a, b):
+            return fv_proof_hyps(b) - {a}
+        case PApp(f, a):
+            return fv_proof_hyps(f) | fv_proof_hyps(a)
+        case TLam(_, b):
+            return fv_proof_hyps(b)
+        case TApp(f, _):
+            return fv_proof_hyps(f)
+        case ExPair(_, b):
+            return fv_proof_hyps(b)
+        case Dest(sc, _, a, b):
+            return fv_proof_hyps(sc) | (fv_proof_hyps(b) - {a})
+        case Ascribe(b, _):
+            return fv_proof_hyps(b)
+        case _:
+            return frozenset()
+
+
+def fv_proof_termvars(p: ProofTerm) -> frozenset:
+    """Free individual-variable names occurring in a proof term."""
+    match p:
+        case Hyp(_):
+            return frozenset()
+        case PPair(f, s) | PApp(f, s):
+            return fv_proof_termvars(f) | fv_proof_termvars(s)
+        case Fst(q) | Snd(q) | Inl(q) | Inr(q) | Efq(q) | Reset(q):
+            return fv_proof_termvars(q)
+        case Case(sc, _, b1, _, b2):
+            return fv_proof_termvars(sc) | fv_proof_termvars(b1) | fv_proof_termvars(b2)
+        case PLam(_, b) | Shift(_, b):
+            return fv_proof_termvars(b)
+        case TLam(x, b):
+            return fv_proof_termvars(b) - {x}
+        case TApp(f, t):
+            return fv_proof_termvars(f) | fv_term(t)
+        case ExPair(t, b):
+            return fv_term(t) | fv_proof_termvars(b)
+        case Dest(sc, x, _, b):
+            return fv_proof_termvars(sc) | (fv_proof_termvars(b) - {x})
+        case Ascribe(b, f):
+            return fv_proof_termvars(b) | fv_formula(f)
+        case _:
+            return frozenset()
+
+
+def _rebind_hyp(name: str, body: ProofTerm, avoid) -> tuple:
+    name2 = fresh_name(name, avoid)
+    if name2 != name:
+        body = subst_proof_hyp(body, name, Hyp(name2))
+    return name2, body
+
+
+def subst_proof_hyp(p: ProofTerm, a: str, q: ProofTerm) -> ProofTerm:
+    """Capture-avoiding substitution of a proof term for a hypothesis name."""
+    qh = fv_proof_hyps(q)
+    qt = fv_proof_termvars(q)
+
+    def go(p: ProofTerm) -> ProofTerm:
+        match p:
+            case Hyp(b):
+                return q if b == a else p
+            case PPair(f, s):
+                return PPair(go(f), go(s))
+            case Fst(b):
+                return Fst(go(b))
+            case Snd(b):
+                return Snd(go(b))
+            case Inl(b):
+                return Inl(go(b))
+            case Inr(b):
+                return Inr(go(b))
+            case Efq(b):
+                return Efq(go(b))
+            case Reset(b):
+                return Reset(go(b))
+            case PApp(f, s):
+                return PApp(go(f), go(s))
+            case TApp(f, t):
+                return TApp(go(f), t)
+            case ExPair(t, b):
+                return ExPair(t, go(b))
+            case Ascribe(b, f):
+                return Ascribe(go(b), f)
+            case PLam(b, body):
+                if b == a:
+                    return p
+                if b in qh:
+                    b, body = _rebind_hyp(b, body, qh | fv_proof_hyps(body) | {a})
+                return PLam(b, go(body))
+            case Shift(b, body):
+                if b == a:
+                    return p
+                if b in qh:
+                    b, body = _rebind_hyp(b, body, qh | fv_proof_hyps(body) | {a})
+                return Shift(b, go(body))
+            case TLam(x, body):
+                if x in qt:
+                    x2 = fresh_name(x, qt | fv_proof_termvars(body))
+                    body = subst_proof_term(body, x, Var(x2))
+                    x = x2
+                return TLam(x, go(body))
+            case Case(sc, a1, b1, a2, b2):
+                sc = go(sc)
+                if a1 != a:
+                    if a1 in qh:
+                        a1, b1 = _rebind_hyp(a1, b1, qh | fv_proof_hyps(b1) | {a})
+                    b1 = go(b1)
+                if a2 != a:
+                    if a2 in qh:
+                        a2, b2 = _rebind_hyp(a2, b2, qh | fv_proof_hyps(b2) | {a})
+                    b2 = go(b2)
+                return Case(sc, a1, b1, a2, b2)
+            case Dest(sc, x, b, body):
+                sc = go(sc)
+                if b == a:
+                    return Dest(sc, x, b, body)
+                if x in qt:
+                    x2 = fresh_name(x, qt | fv_proof_termvars(body))
+                    body = subst_proof_term(body, x, Var(x2))
+                    x = x2
+                if b in qh:
+                    b, body = _rebind_hyp(b, body, qh | fv_proof_hyps(body) | {a})
+                return Dest(sc, x, b, go(body))
+            case _:
+                return p
+
+    return go(p)
+
+
+def subst_proof_term(p: ProofTerm, x: str, t: Term) -> ProofTerm:
+    """Substitute an individual term for a term variable inside a proof."""
+    ft = fv_term(t)
+
+    def go(p: ProofTerm) -> ProofTerm:
+        match p:
+            case Hyp(_):
+                return p
+            case PPair(f, s):
+                return PPair(go(f), go(s))
+            case Fst(b):
+                return Fst(go(b))
+            case Snd(b):
+                return Snd(go(b))
+            case Inl(b):
+                return Inl(go(b))
+            case Inr(b):
+                return Inr(go(b))
+            case Efq(b):
+                return Efq(go(b))
+            case Reset(b):
+                return Reset(go(b))
+            case PApp(f, s):
+                return PApp(go(f), go(s))
+            case PLam(a, b):
+                return PLam(a, go(b))
+            case Shift(a, b):
+                return Shift(a, go(b))
+            case TApp(f, u):
+                return TApp(go(f), subst_term(u, x, t))
+            case ExPair(u, b):
+                return ExPair(subst_term(u, x, t), go(b))
+            case Ascribe(b, f):
+                return Ascribe(go(b), subst_formula(f, x, t))
+            case TLam(y, b):
+                if y == x:
+                    return p
+                if y in ft:
+                    y2 = fresh_name(y, ft | fv_proof_termvars(b) | {x})
+                    b = subst_proof_term(b, y, Var(y2))
+                    y = y2
+                return TLam(y, go(b))
+            case Case(sc, a1, b1, a2, b2):
+                return Case(go(sc), a1, go(b1), a2, go(b2))
+            case Dest(sc, y, a, b):
+                sc = go(sc)
+                if y == x:
+                    return Dest(sc, y, a, b)
+                if y in ft:
+                    y2 = fresh_name(y, ft | fv_proof_termvars(b) | {x})
+                    b = subst_proof_term(b, y, Var(y2))
+                    y = y2
+                return Dest(sc, y, a, go(b))
+            case _:
+                return p
+
+    return go(p)
+
+
+def _aeq_proof(a: ProofTerm, b: ProofTerm, ha, hb, ta, tb, n: int) -> bool:
+    match a, b:
+        case (Hyp(x), Hyp(y)):
+            return _aeq_var(x, y, ha, hb)
+        case (PPair(f1, s1), PPair(f2, s2)) | (PApp(f1, s1), PApp(f2, s2)):
+            if type(a) is not type(b):
+                return False
+            return _aeq_proof(f1, f2, ha, hb, ta, tb, n) and _aeq_proof(s1, s2, ha, hb, ta, tb, n)
+        case (Fst(p), Fst(q)) | (Snd(p), Snd(q)) | (Inl(p), Inl(q)) | (Inr(p), Inr(q)) | (
+            Efq(p),
+            Efq(q),
+        ) | (Reset(p), Reset(q)):
+            if type(a) is not type(b):
+                return False
+            return _aeq_proof(p, q, ha, hb, ta, tb, n)
+        case (PLam(x, p), PLam(y, q)) | (Shift(x, p), Shift(y, q)):
+            if type(a) is not type(b):
+                return False
+            return _aeq_proof(p, q, {**ha, x: n}, {**hb, y: n}, ta, tb, n + 1)
+        case (TLam(x, p), TLam(y, q)):
+            return _aeq_proof(p, q, ha, hb, {**ta, x: n}, {**tb, y: n}, n + 1)
+        case (TApp(p, t), TApp(q, u)):
+            return _aeq_proof(p, q, ha, hb, ta, tb, n) and _aeq_term(t, u, ta, tb, n)
+        case (ExPair(t, p), ExPair(u, q)):
+            return _aeq_term(t, u, ta, tb, n) and _aeq_proof(p, q, ha, hb, ta, tb, n)
+        case (Case(s1, x1, p1, y1, q1), Case(s2, x2, p2, y2, q2)):
+            return (
+                _aeq_proof(s1, s2, ha, hb, ta, tb, n)
+                and _aeq_proof(p1, p2, {**ha, x1: n}, {**hb, x2: n}, ta, tb, n + 1)
+                and _aeq_proof(q1, q2, {**ha, y1: n}, {**hb, y2: n}, ta, tb, n + 1)
+            )
+        case (Dest(s1, x1, a1, p1), Dest(s2, x2, a2, p2)):
+            return _aeq_proof(s1, s2, ha, hb, ta, tb, n) and _aeq_proof(
+                p1, p2, {**ha, a1: n}, {**hb, a2: n}, {**ta, x1: n + 1}, {**tb, x2: n + 1}, n + 2
+            )
+        case (Ascribe(p, f), Ascribe(q, g)):
+            return _aeq_proof(p, q, ha, hb, ta, tb, n) and _aeq_formula(f, g, ta, tb, n)
+        case _:
+            return False
+
+
+def alpha_eq_proof(a: ProofTerm, b: ProofTerm) -> bool:
+    return _aeq_proof(a, b, {}, {}, {}, {}, 0)
+
+
+def contains_control(p: ProofTerm) -> bool:
+    """True if any Shift or Reset node occurs anywhere in the proof."""
+    match p:
+        case Shift(_, _) | Reset(_):
+            return True
+        case PPair(f, s) | PApp(f, s):
+            return contains_control(f) or contains_control(s)
+        case Fst(q) | Snd(q) | Inl(q) | Inr(q) | Efq(q):
+            return contains_control(q)
+        case Case(sc, _, b1, _, b2):
+            return contains_control(sc) or contains_control(b1) or contains_control(b2)
+        case PLam(_, b) | TLam(_, b) | ExPair(_, b) | Ascribe(b, _):
+            return contains_control(b)
+        case TApp(f, _):
+            return contains_control(f)
+        case Dest(sc, _, _, b):
+            return contains_control(sc) or contains_control(b)
+        case _:
+            return False
+
+
+def contains_shift(p: ProofTerm) -> bool:
+    match p:
+        case Shift(_, _):
+            return True
+        case PPair(f, s) | PApp(f, s):
+            return contains_shift(f) or contains_shift(s)
+        case Fst(q) | Snd(q) | Inl(q) | Inr(q) | Efq(q) | Reset(q):
+            return contains_shift(q)
+        case Case(sc, _, b1, _, b2):
+            return contains_shift(sc) or contains_shift(b1) or contains_shift(b2)
+        case PLam(_, b) | TLam(_, b) | ExPair(_, b) | Ascribe(b, _):
+            return contains_shift(b)
+        case TApp(f, _):
+            return contains_shift(f)
+        case Dest(sc, _, _, b):
+            return contains_shift(sc) or contains_shift(b)
+        case _:
+            return False

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from dnsk.evaluate import (
-    FuelExhausted, IllSorted, MachineConfig, Stuck, eval_formula_bounded,
-    normalize_proof, normalize_term, step_proof,
+    FuelExhausted, IllSorted, Stuck, eval_formula_bounded, normalize_proof,
+    normalize_term,
 )
 from dnsk.parser import parse_formula, parse_proof, parse_term
 from dnsk.printer import print_proof, print_term
@@ -157,7 +157,8 @@ def test_fuel_exhaustion():
 
 
 def test_step_proof_none_on_normal_forms():
-    assert step_proof(MachineConfig(parse_proof("fun a => a"))) is None
+    p = parse_proof("fun a => a")
+    assert normalize_proof(p, trace=True) == (p, [p])
 
 
 # -- bounded classical evaluation ---------------------------------------------

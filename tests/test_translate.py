@@ -104,8 +104,21 @@ def test_dia_formula_well_sorted_at_assigned_types():
 
 def test_dia_formula_rejects_wrong_sorts():
     a = tr("P(0) -> R")
-    with pytest.raises(TranslationError):
-        dia_formula(SIG, {"w": NAT}, Var("w"), canonical(dia_types(a).challenge), a)
+    translations = (
+        (dia_types(a), lambda env, t, s: dia_formula(SIG, env, t, s, a)),
+        (dia_types(neg(neg(a))), lambda env, t, s: dia_nn_simplify(SIG, env, a, t, s)),
+    )
+    for d, translate in translations:
+        w, c = canonical(d.witness), canonical(d.challenge)
+        for env, t, s, kind in (
+            ({"w": NAT}, Var("w"), c, "WitnessTypeMismatch"),
+            ({}, Var("w"), c, "WitnessTypeMismatch"),
+            ({"c": NAT}, w, Var("c"), "ChallengeTypeMismatch"),
+            ({}, w, Var("c"), "ChallengeTypeMismatch"),
+        ):
+            with pytest.raises(TranslationError) as e:
+                translate(env, t, s)
+            assert e.value.kind == kind
 
 
 def test_nn_simplification_is_quantifier_free_on_qf_input():
