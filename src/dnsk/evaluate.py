@@ -6,11 +6,36 @@ Proof reduction is call-by-value, left to right, and never reduces under
 binders.  A ``reset`` whose body is fully evaluated disappears only when the
 body contains no latent ``shift``; otherwise the configuration is a normal
 form (the delimiter must stay so the judgment remains derivable).
+
+``normalize_proof`` is a refocused abstract machine (Danvy and Nielsen,
+"Refocusing in reduction semantics", 2004).  It holds a focus and the
+evaluation context around it as an explicit stack of frames, one per
+constructor with an evaluation hole: the left and then the right part of a
+pair or application, the argument of an injection, projection, ``efq`` or
+type application, the scrutinee of ``case`` and ``dest``, the body of an
+existential pair, an ascription and a ``reset``.  It descends into the
+leftmost hole until it meets a value or a ``shift``, and ascends with a
+normal proof, rebuilding only the nodes whose hole changed, until a frame
+makes a redex.  After a contraction it goes on from the reduct in the same
+context (refocusing), never from the root, so finding a redex costs
+amortized constant time.
+
+A ``shift k => M`` in focus captures the frames above the nearest ``reset``
+frame, the delimited context F (Biernacka, Biernacki and Danvy, "An
+operational foundation for delimited continuations in the CPS hierarchy",
+2005).  Those frames are plugged twice: with the shift itself, to choose
+the fresh name ``a`` against the free hypotheses of the whole reset body,
+and with ``a``, to reify F as ``fun a => reset F[a]``.  The reset and
+its segment are replaced by ``reset M[k := fun a => reset F[a]]``.  A shift
+with no reset frame below it is ``Stuck``.
+
+Each contraction costs one unit of fuel.  Only a traced run plugs the whole
+stack into a configuration at every step.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .syntax import (
     App, Ascribe, Case, Dest, Efq, Eq0, Exists, Forall, Formula, Fst, Hyp,
@@ -96,142 +121,160 @@ def _unwrap(p: ProofTerm) -> ProofTerm:
     return p
 
 
-class _ShiftCapture(Exception):
-    def __init__(self, hyp: str, body: ProofTerm, context: Callable):
-        self.hyp = hyp
-        self.body = body
-        self.context = context
+# The field holding the evaluation hole of each constructor that has one.  A
+# pair or application has a second hole, its right part, once its left part
+# is normal.
+_HOLE = {
+    PPair: "fst", PApp: "fn", Fst: "arg", Snd: "arg", Inl: "arg", Inr: "arg",
+    Efq: "arg", Reset: "body", Ascribe: "body", TApp: "fn", Case: "scrut",
+    Dest: "scrut", ExPair: "body",
+}
 
 
-def _step(p: ProofTerm):
-    """One CBV step, or None when p is a normal form.
+def _plug1(node: ProofTerm, left, q: ProofTerm) -> ProofTerm:
+    """``node`` with q in its evaluation hole; ``left`` is None, or the normal
+    left part of a pair or application whose right part is the hole."""
+    cls = type(node)
+    if cls is PPair:
+        return PPair(q, node.snd) if left is None else PPair(left, q)
+    if cls is PApp:
+        return PApp(q, node.arg) if left is None else PApp(left, q)
+    if cls is Ascribe:
+        return Ascribe(q, node.formula)
+    if cls is ExPair:
+        return ExPair(node.witness, q)
+    if cls is TApp:
+        return TApp(q, node.arg)
+    if cls is Case:
+        return Case(q, node.left_name, node.left, node.right_name, node.right)
+    if cls is Dest:
+        return Dest(q, node.var, node.hyp, node.body)
+    return cls(q)  # Fst, Snd, Inl, Inr, Efq, Reset
 
-    Raises _ShiftCapture when a shift is in evaluation position; the nearest
-    enclosing reset handles it, and the top level turns it into Stuck."""
 
-    def sub(q: ProofTerm, rebuild: Callable):
-        try:
-            r = _step(q)
-        except _ShiftCapture as sc:
-            inner = sc.context
-            raise _ShiftCapture(sc.hyp, sc.body, lambda h: rebuild(inner(h)))
-        return None if r is None else rebuild(r)
+def _plug(frames, q: ProofTerm) -> ProofTerm:
+    """The context ``frames`` (outermost first) with q in its hole."""
+    for node, left, _ in reversed(frames):
+        q = _plug1(node, left, q)
+    return q
 
-    match p:
-        case Hyp(_) | PLam(_, _) | TLam(_, _):
+
+def _contract(node: ProofTerm, left, v: ProofTerm):
+    """The reduct of ``node`` with the normal proof v in its evaluation hole
+    (``left`` as in _plug1), or None when that proof is normal."""
+    cls = type(node)
+    if cls is PApp:
+        fn = _unwrap(left)
+        if type(fn) is not PLam:
             return None
-        case Shift(k, body):
-            raise _ShiftCapture(k, body, lambda h: h)
-        case PPair(f, s):
-            r = sub(f, lambda f2: PPair(f2, s))
-            if r is not None:
-                return r
-            return sub(s, lambda s2: PPair(f, s2))
-        case Inl(q):
-            return sub(q, Inl)
-        case Inr(q):
-            return sub(q, Inr)
-        case ExPair(t, q):
-            return sub(q, lambda q2: ExPair(t, q2))
-        case Ascribe(q, f):
-            return sub(q, lambda q2: Ascribe(q2, f))
-        case Fst(q):
-            r = sub(q, Fst)
-            if r is not None:
-                return r
-            inner = _unwrap(q)
-            if isinstance(inner, PPair):
-                return inner.fst
-            return None
-        case Snd(q):
-            r = sub(q, Snd)
-            if r is not None:
-                return r
-            inner = _unwrap(q)
-            if isinstance(inner, PPair):
-                return inner.snd
-            return None
-        case Efq(q):
-            return sub(q, Efq)
-        case PApp(f, a):
-            r = sub(f, lambda f2: PApp(f2, a))
-            if r is not None:
-                return r
-            r = sub(a, lambda a2: PApp(f, a2))
-            if r is not None:
-                return r
-            fn = _unwrap(f)
-            if isinstance(fn, PLam):
-                reduct = subst_proof_hyp(fn.body, fn.hyp, a)
-                # keep the ascription on the reduct so that a redex in
-                # synthesis position stays synthesizable after the step
-                if isinstance(f, Ascribe) and isinstance(f.formula, Imp):
-                    return Ascribe(reduct, f.formula.right)
-                return reduct
-            return None
-        case TApp(f, t):
-            r = sub(f, lambda f2: TApp(f2, t))
-            if r is not None:
-                return r
-            fn = _unwrap(f)
-            if isinstance(fn, TLam):
-                reduct = subst_proof_term(fn.body, fn.var, t)
-                if isinstance(f, Ascribe) and isinstance(f.formula, Forall):
-                    return Ascribe(
-                        reduct, subst_formula(f.formula.body, f.formula.var, t))
-                return reduct
-            return None
-        case Case(sc, a1, b1, a2, b2):
-            r = sub(sc, lambda s2: Case(s2, a1, b1, a2, b2))
-            if r is not None:
-                return r
-            inner = _unwrap(sc)
-            if isinstance(inner, Inl):
-                return subst_proof_hyp(b1, a1, inner.arg)
-            if isinstance(inner, Inr):
-                return subst_proof_hyp(b2, a2, inner.arg)
-            return None
-        case Dest(sc, x, a, body):
-            r = sub(sc, lambda s2: Dest(s2, x, a, body))
-            if r is not None:
-                return r
-            inner = _unwrap(sc)
-            if isinstance(inner, ExPair):
-                return subst_proof_hyp(subst_proof_term(body, x, inner.witness), a, inner.body)
-            return None
-        case Reset(body):
-            try:
-                r = _step(body)
-            except _ShiftCapture as sc:
-                # reify the captured delimiter-free context as a function
-                # hypothesis, keeping the delimiter on both sides
-                a = fresh_name("a", fv_proof_hyps(body) | {sc.hyp})
-                cont = PLam(a, Reset(sc.context(Hyp(a))))
-                return Reset(subst_proof_hyp(sc.body, sc.hyp, cont))
-            if r is not None:
-                return Reset(r)
-            if not contains_shift(body):
-                return body
-            return None
-    raise TypeError(f"not a proof term: {p!r}")
+        reduct = subst_proof_hyp(fn.body, fn.hyp, v)
+        # keep the ascription on the reduct so that a redex in synthesis
+        # position stays synthesizable after the step
+        if type(left) is Ascribe and type(left.formula) is Imp:
+            return Ascribe(reduct, left.formula.right)
+        return reduct
+    if cls is Reset:
+        return None if contains_shift(v) else v
+    inner = _unwrap(v)
+    ty = type(inner)
+    if cls is Fst or cls is Snd:
+        if ty is PPair:
+            return inner.fst if cls is Fst else inner.snd
+    elif cls is TApp:
+        if ty is TLam:
+            reduct = subst_proof_term(inner.body, inner.var, node.arg)
+            if type(v) is Ascribe and type(v.formula) is Forall:
+                f = v.formula
+                return Ascribe(reduct, subst_formula(f.body, f.var, node.arg))
+            return reduct
+    elif cls is Case:
+        if ty is Inl:
+            return subst_proof_hyp(node.left, node.left_name, inner.arg)
+        if ty is Inr:
+            return subst_proof_hyp(node.right, node.right_name, inner.arg)
+    elif cls is Dest and ty is ExPair:
+        return subst_proof_hyp(subst_proof_term(node.body, node.var, inner.witness),
+                               node.hyp, inner.body)
+    return None
 
 
 def normalize_proof(p: ProofTerm, fuel: int = 10000, trace: bool = False):
-    """Reduce to a normal form within ``fuel`` steps.
+    """Reduce to a normal form in at most ``fuel`` steps.
 
     Returns the normal form, or (normal form, trace list) when trace=True.
     The trace includes the initial and every subsequent configuration."""
-    steps = [p]
-    for _ in range(fuel):
-        try:
-            nxt = _step(p)
-        except _ShiftCapture:
-            raise Stuck("shift with no enclosing reset")
-        if nxt is None:
-            return (p, steps) if trace else p
-        p = nxt
-        steps.append(p)
-    raise FuelExhausted(f"no normal form within {fuel} steps")
+    if fuel < 0:
+        raise FuelExhausted(f"no normal form within {fuel} steps")
+    steps = [p] if trace else None
+    taken = 0
+    # the evaluation context as frames (node, left, hole), outermost first:
+    # node is the proof whose evaluation hole held ``hole`` when the frame
+    # was pushed, and left is as in _plug1
+    stack = []
+    focus, normal = p, False
+    while True:
+        if normal:
+            # ascend with the normal proof v until a frame makes a redex
+            v = focus
+            while stack:
+                node, left, hole = stack.pop()
+                cls = type(node)
+                if left is None and (cls is PPair or cls is PApp):
+                    focus = node.snd if cls is PPair else node.arg
+                    stack.append((node, v, focus))
+                    normal, reduct = False, None
+                    break
+                reduct = _contract(node, left, v)
+                if reduct is not None:
+                    # a part of a normal pair, and the body of a dropped
+                    # reset, are normal
+                    normal = cls is Fst or cls is Snd or cls is Reset
+                    break
+                # rebuild the node only if its hole (or the left part of a
+                # pair or application, its _HOLE field) has changed
+                if v is not hole or (left is not None and left is not getattr(node, _HOLE[cls])):
+                    node = _plug1(node, left, v)
+                v = node
+            else:
+                return (v, steps) if trace else v
+            if reduct is None:
+                continue
+        else:
+            # descend to the leftmost position not yet known to be normal
+            cls = type(focus)
+            field = _HOLE.get(cls)
+            while field is not None:
+                child = getattr(focus, field)
+                stack.append((focus, None, child))
+                focus = child
+                cls = type(focus)
+                field = _HOLE.get(cls)
+            if cls is Hyp or cls is PLam or cls is TLam:
+                normal = True
+                continue
+            if cls is not Shift:
+                raise TypeError(f"not a proof term: {focus!r}")
+            # the frames above the nearest reset are the captured context F;
+            # reify it as a function hypothesis, keeping the delimiter on
+            # both sides
+            i = len(stack) - 1
+            while i >= 0 and type(stack[i][0]) is not Reset:
+                i -= 1
+            if i < 0:
+                raise Stuck("shift with no enclosing reset")
+            frames = stack[i + 1:]
+            del stack[i:]
+            k = focus.hyp
+            a = fresh_name("a", fv_proof_hyps(_plug(frames, focus)) | {k})
+            cont = PLam(a, Reset(_plug(frames, Hyp(a))))
+            reduct = Reset(subst_proof_hyp(focus.body, k, cont))
+        # contract: the reduct replaces the redex, and refocusing starts at it
+        if taken == fuel:
+            raise FuelExhausted(f"no normal form within {fuel} steps")
+        taken += 1
+        if trace:
+            steps.append(_plug(stack, reduct))
+        focus = reduct
 
 
 # ---------------------------------------------------------------------------

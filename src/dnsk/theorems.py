@@ -5,6 +5,7 @@ derivations as named hypotheses."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Mapping
 
 from .parser import parse_formula, parse_proof
@@ -229,11 +230,15 @@ def build_library() -> list:
     return entries
 
 
+@cache
+def _entries_by_name() -> dict:
+    return {e.name: e for e in build_library()}
+
+
 def get_entry(name: str) -> TheoremEntry:
-    for e in build_library():
-        if e.name == name:
-            return e
-    raise KeyError(name)
+    """The library entry called ``name``.  The library is parsed on the first
+    lookup only; every later lookup returns the same entry object."""
+    return _entries_by_name()[name]
 
 
 def verify_library() -> list:

@@ -101,3 +101,22 @@ def test_deterministic_output():
     runs = {invoke("translate", "--mode", "mr", sample("translations.dnsk"))
             for _ in range(3)}
     assert len(runs) == 1
+
+
+GOLDEN_EVAL = os.path.join(os.path.dirname(__file__), "golden", "eval")
+
+
+def test_eval_matches_golden_output():
+    # stdout byte for byte and the exit code of `dnsk eval [--trace]` on
+    # every sample, recorded from the reducer the frame-stack machine replaced
+    with open(os.path.join(GOLDEN_EVAL, "exit_codes.txt"), encoding="utf-8") as f:
+        expected = dict(line.split() for line in f)
+    names = sorted(n for n in os.listdir(SAMPLES) if n.endswith(".dnsk"))
+    assert len(expected) == 2 * len(names)
+    for name in names:
+        stem = name[:-len(".dnsk")]
+        for flags, golden in (((), f"{stem}.txt"), (("--trace",), f"{stem}.trace.txt")):
+            code, out, _ = invoke("eval", sample(name), *flags)
+            with open(os.path.join(GOLDEN_EVAL, golden), "rb") as f:
+                assert out.encode("utf-8") == f.read(), golden
+            assert str(code) == expected[golden], golden

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,7 +12,7 @@ from dnsk.evaluate import (
 )
 from dnsk.parser import parse_formula, parse_proof, parse_term
 from dnsk.printer import print_proof, print_term
-from dnsk.syntax import App, Lam, NAT, Var, numeral, numeral_value
+from dnsk.syntax import App, Lam, NAT, PPair, Var, numeral, numeral_value
 from conftest import TEST_SIGNATURE, random_formula, random_pred_tables
 
 SIG = TEST_SIGNATURE
@@ -154,6 +155,40 @@ def test_fuel_exhaustion():
     looping = parse_proof("(fun a => a a) (fun a => a a)")
     with pytest.raises(FuelExhausted):
         normalize_proof(looping, fuel=20)
+
+
+def test_fuel_counts_steps_taken():
+    capture = parse_proof("reset (f (shift k => k a))")
+    final, steps = normalize_proof(capture, fuel=4, trace=True)
+    assert print_proof(final) == "f a" and len(steps) == 5
+    assert normalize_proof(capture, 4) == final
+    with pytest.raises(FuelExhausted):
+        normalize_proof(capture, fuel=3)
+    with pytest.raises(FuelExhausted):
+        normalize_proof(capture, fuel=3, trace=True)
+    normal = parse_proof("fun a => a")
+    assert normalize_proof(normal, fuel=0) == normal
+    assert normalize_proof(normal, fuel=0, trace=True) == (normal, [normal])
+    with pytest.raises(FuelExhausted):
+        normalize_proof(normal, fuel=-1)
+
+
+def test_untraced_reduction_keeps_no_configurations():
+    # 300 independent redexes: the trace holds 301 configurations of about
+    # 300 nodes each, an untraced run only the current one
+    p = redex = parse_proof("(fun a => a) h")
+    for _ in range(299):
+        p = PPair(redex, p)
+
+    def peak(trace):
+        tracemalloc.start()
+        try:
+            normalize_proof(p, trace=trace)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(False) * 10 < peak(True)
 
 
 def test_step_proof_none_on_normal_forms():

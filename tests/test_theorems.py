@@ -2,6 +2,7 @@
 
 import pytest
 
+from dnsk import theorems
 from dnsk.parser import parse_formula
 from dnsk.printer import print_formula
 from dnsk.syntax import NAT, Arrow, PredApp, Var, alpha_eq_formula, numeral
@@ -23,6 +24,19 @@ def test_library_has_required_entries():
 def test_all_entries_check():
     for name, report in verify_library():
         assert report.ok, (name, report.error)
+
+
+def test_get_entry_parses_the_library_once(monkeypatch):
+    for e in build_library():
+        assert get_entry(e.name) == e
+
+    def no_parse(*_):
+        raise AssertionError("get_entry parsed the library again")
+
+    monkeypatch.setattr(theorems, "parse_proof", no_parse)
+    monkeypatch.setattr(theorems, "parse_formula", no_parse)
+    assert get_entry("nn_hp") is get_entry("nn_hp")
+    assert get_entry("dns_lem").name == "dns_lem"
 
 
 def test_get_entry():
