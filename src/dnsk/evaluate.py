@@ -2,6 +2,24 @@
 and a bounded-domain classical formula evaluator used as a brute-force
 oracle.
 
+``normalize_term`` is normalization by evaluation (Berger and
+Schwichtenberg, "An inverse of the evaluation functional for typed
+lambda-calculus", LICS 1991; Berger, Eberl and Schwichtenberg, "Term
+rewriting for normalization by evaluation", 2003).  A well-sorted term is
+evaluated over an environment into a value: a Python ``int`` for a closed
+numeral, ``STAR``, a Python pair, a closure for a ``Lam``, ``S^k`` of a
+neutral value, or a neutral value for a stuck term (a variable, and an
+application, projection or ``rec`` whose principal argument is neutral).
+``rec`` on a numeral runs as a loop; on ``S^k ne`` it unfolds k times down
+to a neutral ``rec ne``, like the rewrite rule ``rec (S n) b s -> s n (rec n
+b s)``.  Read-back turns a value into a term, applying each closure to a
+fresh variable: the binder keeps its name unless the sort context or an
+enclosing read-back binder already uses it.  There is no eta-expansion, so
+the result is the beta/projection/recursor normal form.  Fuel counts
+closure applications and recursor unfoldings.  The bounded formula
+evaluator uses the same evaluation with its quantified variables bound to
+integers.
+
 Proof reduction is call-by-value, left to right, and never reduces under
 binders.  A ``reset`` whose body is fully evaluated disappears only when the
 body contains no latent ``shift``; otherwise the configuration is a normal
@@ -39,11 +57,11 @@ from typing import Mapping, Optional
 
 from .syntax import (
     App, Ascribe, Case, Dest, Efq, Eq0, Exists, Forall, Formula, Fst, Hyp,
-    Imp, Inl, Inr, KernelError, Lam, NAT, numeral, numeral_value, Or, And,
+    Imp, Inl, Inr, KernelError, Lam, NAT, numeral, Or, And,
     Pair, PApp, PLam, PPair, PredApp, ProofTerm, Proj1, Proj2, Rec, Reset,
     Bot, Shift, Signature, Snd, Star, Succ, Term, TApp, TLam, ExPair, Var,
     Zero, contains_shift, fresh_name, fv_proof_hyps, subst_formula,
-    subst_proof_hyp, subst_proof_term, subst_term,
+    subst_proof_hyp, subst_proof_term,
 )
 from .typecheck import SortError, infer_term_type
 
@@ -65,50 +83,167 @@ class FuelExhausted(EvalError):
 
 
 # ---------------------------------------------------------------------------
-# Term normalization (full normal form; terminates on well-sorted terms)
+# Term normalization by evaluation
+
+TERM_FUEL = 1_000_000
 
 
-def _nf(t: Term) -> Term:
-    match t:
-        case Var(_) | Zero() | Star():
+class _Clo:
+    """The value of a ``Lam`` node in an environment."""
+
+    __slots__ = ("lam", "env")
+
+    def __init__(self, lam: Lam, env: dict):
+        self.lam = lam
+        self.env = env
+
+
+class _SuccNe:
+    """``S^k ne`` for k >= 1 and a neutral value ne of sort nat."""
+
+    __slots__ = ("k", "ne")
+
+    def __init__(self, k: int, ne):
+        self.k = k
+        self.ne = ne
+
+
+class _Ne:
+    """A neutral value: the term constructor ``cls`` (Var, App, Proj1, Proj2
+    or Rec) over ``args``, each a value, a sort or a variable name; every
+    constructor but Var has a neutral principal argument."""
+
+    __slots__ = ("cls", "args")
+
+    def __init__(self, cls, *args):
+        self.cls = cls
+        self.args = args
+
+
+def _succ(v, k: int):
+    """The value of ``S^k`` applied to the nat value v."""
+    if k == 0:
+        return v
+    cls = type(v)
+    if cls is int:
+        return v + k
+    if cls is _SuccNe:
+        return _SuccNe(v.k + k, v.ne)
+    return _SuccNe(k, v)
+
+
+class _NbE:
+    """Evaluation of well-sorted terms into values and read-back of values
+    into normal terms, sharing one fuel budget.
+
+    A value is an ``int`` (a closed numeral), ``STAR``, a Python pair of
+    values, a closure, ``S^k`` of a neutral value, or a neutral value.
+    ``avoid`` holds the names free in the read-back term: those of the
+    sort context and of the enclosing read-back binders."""
+
+    __slots__ = ("fuel", "budget", "avoid")
+
+    def __init__(self, fuel: int, avoid=()):
+        self.fuel = self.budget = fuel
+        self.avoid = set(avoid)
+
+    def tick(self) -> None:
+        if self.fuel <= 0:
+            raise FuelExhausted(
+                f"no normal form within {self.budget} applications and unfoldings")
+        self.fuel -= 1
+
+    def eval(self, t: Term, env: dict):
+        cls = type(t)
+        if cls is Var:
+            return env[t.name]
+        if cls is App:
+            return self.apply(self.eval(t.fn, env), self.eval(t.arg, env))
+        if cls is Lam:
+            return _Clo(t, env)
+        if cls is Succ:
+            k = 0
+            while type(t) is Succ:
+                k += 1
+                t = t.arg
+            return _succ(self.eval(t, env), k)
+        if cls is Zero:
+            return 0
+        if cls is Pair:
+            return (self.eval(t.fst, env), self.eval(t.snd, env))
+        if cls is Proj1:
+            v = self.eval(t.arg, env)
+            return v[0] if type(v) is tuple else _Ne(Proj1, v)
+        if cls is Proj2:
+            v = self.eval(t.arg, env)
+            return v[1] if type(v) is tuple else _Ne(Proj2, v)
+        if cls is Rec:
+            return self.rec(t.sort, self.eval(t.scrut, env), self.eval(t.base, env),
+                            self.eval(t.step, env))
+        if cls is Star:
             return t
-        case Succ(a):
-            return Succ(_nf(a))
-        case Lam(x, s, b):
-            return Lam(x, s, _nf(b))
-        case App(f, a):
-            f = _nf(f)
-            a = _nf(a)
-            if isinstance(f, Lam):
-                return _nf(subst_term(f.body, f.var, a))
-            return App(f, a)
-        case Pair(a, b):
-            return Pair(_nf(a), _nf(b))
-        case Proj1(a):
-            a = _nf(a)
-            return a.fst if isinstance(a, Pair) else Proj1(a)
-        case Proj2(a):
-            a = _nf(a)
-            return a.snd if isinstance(a, Pair) else Proj2(a)
-        case Rec(s, n, b, st):
-            n = _nf(n)
-            b = _nf(b)
-            st = _nf(st)
-            if isinstance(n, Zero):
-                return b
-            if isinstance(n, Succ):
-                return _nf(App(App(st, n.arg), Rec(s, n.arg, b, st)))
-            return Rec(s, n, b, st)
-    raise TypeError(f"not a term: {t!r}")
+        raise TypeError(f"not a term: {t!r}")
+
+    def apply(self, f, a):
+        if type(f) is not _Clo:
+            return _Ne(App, f, a)
+        self.tick()
+        lam = f.lam
+        return self.eval(lam.body, {**f.env, lam.var: a})
+
+    def rec(self, sort, n, base, step):
+        """``rec n base step``: a loop on a numeral, k unfoldings on
+        ``S^k ne`` down to a neutral ``rec ne``."""
+        if type(n) is int:
+            acc = base
+            for i in range(n):
+                self.tick()
+                acc = self.apply(self.apply(step, i), acc)
+            return acc
+        k, ne = (n.k, n.ne) if type(n) is _SuccNe else (0, n)
+        acc = _Ne(Rec, sort, ne, base, step)
+        for i in range(k):
+            self.tick()
+            acc = self.apply(self.apply(step, _succ(ne, i)), acc)
+        return acc
+
+    def read(self, v) -> Term:
+        cls = type(v)
+        if cls is int:
+            return numeral(v)
+        if cls is _Clo:
+            lam = v.lam
+            x = lam.var
+            avoid = self.avoid
+            if x in avoid:
+                x = fresh_name(x, avoid)
+            avoid.add(x)
+            body = self.read(self.apply(v, _Ne(Var, x)))
+            avoid.discard(x)
+            return Lam(x, lam.sort, body)
+        if cls is tuple:
+            return Pair(self.read(v[0]), self.read(v[1]))
+        if cls is _Ne:
+            return v.cls(*[self.read(a) for a in v.args])
+        if cls is _SuccNe:
+            t = self.read(v.ne)
+            for _ in range(v.k):
+                t = Succ(t)
+            return t
+        return v  # STAR, or a sort or a name in a neutral value
 
 
-def normalize_term(term_vars: Mapping, t: Term) -> Term:
-    """Full beta/projection/recursor normal form of a well-sorted term."""
+def normalize_term(term_vars: Mapping, t: Term, fuel: int = TERM_FUEL) -> Term:
+    """Full beta/projection/recursor normal form of a well-sorted term.
+
+    ``fuel`` bounds the closure applications and recursor unfoldings, those
+    of read-back included; past it ``FuelExhausted`` is raised."""
     try:
         infer_term_type(term_vars, t)
     except SortError as e:
         raise IllSorted(str(e)) from e
-    return _nf(t)
+    nbe = _NbE(fuel, term_vars)
+    return nbe.read(nbe.eval(t, {x: _Ne(Var, x) for x in term_vars}))
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +433,24 @@ def eval_formula_bounded(sig: Signature, a: Formula, domain_bound: int,
     falling outside the domain makes the enclosing prime formula false."""
     n = domain_bound
 
-    def term_value(t: Term) -> Optional[int]:
-        v = numeral_value(_nf(t))
-        if v is None:
+    def term_value(t: Term, env: dict) -> Optional[int]:
+        # NbE is defined on well-sorted terms only; the bound variables in
+        # env stand for numerals
+        try:
+            sort = infer_term_type(dict.fromkeys(env, NAT), t)
+        except SortError as e:
+            raise IllSorted(str(e)) from e
+        if sort != NAT:
             raise IllSorted(f"term does not normalize to a numeral: {t!r}")
-        return v if 0 <= v < n else None
+        v = _NbE(TERM_FUEL).eval(t, env)
+        return v if v < n else None
 
-    def ev(a: Formula) -> bool:
+    def ev(a: Formula, env: dict) -> bool:
         match a:
             case Bot():
                 return False
             case Eq0(l, r):
-                lv, rv = term_value(l), term_value(r)
+                lv, rv = term_value(l, env), term_value(r, env)
                 if lv is None or rv is None:
                     return False
                 return lv == rv
@@ -319,25 +460,25 @@ def eval_formula_bounded(sig: Signature, a: Formula, domain_bound: int,
                     raise MissingPredTable(f"no table for predicate {p!r}")
                 vals = []
                 for t in args:
-                    v = term_value(t)
+                    v = term_value(t, env)
                     if v is None:
                         return False
                     vals.append(v)
                 return tuple(vals) in table
             case And(l, r):
-                return ev(l) and ev(r)
+                return ev(l, env) and ev(r, env)
             case Or(l, r):
-                return ev(l) or ev(r)
+                return ev(l, env) or ev(r, env)
             case Imp(l, r):
-                return (not ev(l)) or ev(r)
+                return (not ev(l, env)) or ev(r, env)
             case Forall(x, s, b):
                 if s != NAT:
                     raise HigherSortQuantifier("bounded evaluation needs nat quantifiers")
-                return all(ev(subst_formula(b, x, numeral(k))) for k in range(n))
+                return all(ev(b, {**env, x: k}) for k in range(n))
             case Exists(x, s, b):
                 if s != NAT:
                     raise HigherSortQuantifier("bounded evaluation needs nat quantifiers")
-                return any(ev(subst_formula(b, x, numeral(k))) for k in range(n))
+                return any(ev(b, {**env, x: k}) for k in range(n))
         raise TypeError(f"not a formula: {a!r}")
 
-    return ev(a)
+    return ev(a, {})

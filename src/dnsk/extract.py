@@ -13,7 +13,7 @@ from typing import Mapping
 from .syntax import (
     App, Arrow, Forall, Formula, Imp, KernelError, Lam, NAT, Or, Pair, Prod,
     Proj1, Proj2, Rec, SimpleType, STAR, Succ, Term, Unit, Var, ZERO,
-    fresh_name, fv_formula, fv_proof_termvars, fv_term, subst_term,
+    fresh_name, fv_formula, fv_term, node_termvars, subst_term,
 )
 from .translate import mr_type
 from .typecheck import Derivation
@@ -150,14 +150,20 @@ class _Extractor:
 
 
 def _names_in(d: Derivation, out: set) -> None:
-    out |= fv_formula(d.goal)
-    out |= fv_proof_termvars(d.subject)
-    node = d.subject
-    for attr in ("var",):
-        if hasattr(node, attr):
-            out.add(getattr(node, attr))
-    for child in d.children:
-        _names_in(child, out)
+    """Add every individual-variable name the derivation mentions: the free
+    variables of each goal, and the names in each subject node's own slots.
+    Every subproof is the subject of one node, so this covers the free
+    variables of every subject, and a goal shared by several nodes is read
+    once."""
+    goals = set()
+    stack = [d]
+    while stack:
+        d = stack.pop()
+        if id(d.goal) not in goals:
+            goals.add(id(d.goal))
+            out |= fv_formula(d.goal)
+        out |= node_termvars(d.subject)
+        stack.extend(d.children)
 
 
 def extract_mr(derivation: Derivation, env: ExtractionEnv) -> Term:

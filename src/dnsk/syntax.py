@@ -169,29 +169,38 @@ def fv_term(t: Term) -> frozenset:
 
 def subst_term(t: Term, x: str, r: Term) -> Term:
     """Capture-avoiding substitution t[x := r]."""
+    return _subst_term(t, x, r, [None])
+
+
+def _subst_term(t: Term, x: str, r: Term, rfv: list) -> Term:
+    # rfv[0] caches fv_term(r); it is computed at the first binder met, so a
+    # substitution into a term without binders never reads r
     match t:
         case Var(y):
             return r if y == x else t
         case Lam(y, s, b):
             if y == x:
                 return t
-            if y in fv_term(r) and x in fv_term(b):
-                y2 = fresh_name(y, fv_term(r) | fv_term(b) | {x})
+            if rfv[0] is None:
+                rfv[0] = fv_term(r)
+            if y in rfv[0] and x in fv_term(b):
+                y2 = fresh_name(y, rfv[0] | fv_term(b) | {x})
                 b = subst_term(b, y, Var(y2))
                 y = y2
-            return Lam(y, s, subst_term(b, x, r))
+            return Lam(y, s, _subst_term(b, x, r, rfv))
         case App(f, a):
-            return App(subst_term(f, x, r), subst_term(a, x, r))
+            return App(_subst_term(f, x, r, rfv), _subst_term(a, x, r, rfv))
         case Pair(a, b):
-            return Pair(subst_term(a, x, r), subst_term(b, x, r))
+            return Pair(_subst_term(a, x, r, rfv), _subst_term(b, x, r, rfv))
         case Proj1(a):
-            return Proj1(subst_term(a, x, r))
+            return Proj1(_subst_term(a, x, r, rfv))
         case Proj2(a):
-            return Proj2(subst_term(a, x, r))
+            return Proj2(_subst_term(a, x, r, rfv))
         case Succ(a):
-            return Succ(subst_term(a, x, r))
+            return Succ(_subst_term(a, x, r, rfv))
         case Rec(s, n, b, st):
-            return Rec(s, subst_term(n, x, r), subst_term(b, x, r), subst_term(st, x, r))
+            return Rec(s, _subst_term(n, x, r, rfv), _subst_term(b, x, r, rfv),
+                       _subst_term(st, x, r, rfv))
         case _:
             return t
 
@@ -318,21 +327,28 @@ def fv_formula(a: Formula) -> frozenset:
 
 def subst_formula(a: Formula, x: str, r: Term) -> Formula:
     """Capture-avoiding substitution A[x := r] over both quantifier binders."""
+    return _subst_formula(a, x, r, [None])
+
+
+def _subst_formula(a: Formula, x: str, r: Term, rfv: list) -> Formula:
+    # rfv as in _subst_term
     match a:
         case Eq0(l, rr):
-            return Eq0(subst_term(l, x, r), subst_term(rr, x, r))
+            return Eq0(_subst_term(l, x, r, rfv), _subst_term(rr, x, r, rfv))
         case PredApp(p, args):
-            return PredApp(p, tuple(subst_term(t, x, r) for t in args))
+            return PredApp(p, tuple(_subst_term(t, x, r, rfv) for t in args))
         case And(l, rr) | Or(l, rr) | Imp(l, rr):
-            return type(a)(subst_formula(l, x, r), subst_formula(rr, x, r))
+            return type(a)(_subst_formula(l, x, r, rfv), _subst_formula(rr, x, r, rfv))
         case Forall(y, s, b) | Exists(y, s, b):
             if y == x:
                 return a
-            if y in fv_term(r) and x in fv_formula(b):
-                y2 = fresh_name(y, fv_term(r) | fv_formula(b) | {x})
+            if rfv[0] is None:
+                rfv[0] = fv_term(r)
+            if y in rfv[0] and x in fv_formula(b):
+                y2 = fresh_name(y, rfv[0] | fv_formula(b) | {x})
                 b = subst_formula(b, y, Var(y2))
                 y = y2
-            return type(a)(y, s, subst_formula(b, x, r))
+            return type(a)(y, s, _subst_formula(b, x, r, rfv))
         case _:
             return a
 
@@ -495,9 +511,10 @@ PROOF_SLOTS = {
     Ascribe: (PROOF, FORMULA),
 }
 
-# free variables, substitution and alpha-equivalence of a term or formula slot
-_LEAF_OPS = {TERM: (fv_term, subst_term, _aeq_term),
-             FORMULA: (fv_formula, subst_formula, _aeq_formula)}
+# free variables, substitution (given a cache of the replacement's free
+# variables) and alpha-equivalence of a term or formula slot
+_LEAF_OPS = {TERM: (fv_term, _subst_term, _aeq_term),
+             FORMULA: (fv_formula, _subst_formula, _aeq_formula)}
 
 
 def _plan(cls, slots) -> tuple:
@@ -569,7 +586,7 @@ def _subst(p: ProofTerm, ns: str, x: str, r, rfv: Mapping) -> ProofTerm:
         vals[i] = _subst(child, ns, x, r, rfv)
     if ns == VAR:
         for i, _, subst, _ in leaves:
-            vals[i] = subst(vals[i], x, r)
+            vals[i] = subst(vals[i], x, r, [rfv[VAR]])
     return cls(*vals)
 
 
@@ -618,6 +635,22 @@ def fv_proof_hyps(p: ProofTerm) -> frozenset:
 def fv_proof_termvars(p: ProofTerm) -> frozenset:
     """Free individual-variable names occurring in a proof term."""
     return _free_names(p, VAR)
+
+
+def node_termvars(p: ProofTerm) -> frozenset:
+    """Individual-variable names in the node p itself, not in its proof
+    children: the free variables of its term and formula slots and its
+    variable binders."""
+    if type(p) is Hyp:
+        return _NO_NAMES
+    get, children, leaves = _PLANS[type(p)]
+    vals = get(p)
+    out = _NO_NAMES
+    for i, leaf_fv, _, _ in leaves:
+        out = out | leaf_fv(vals[i])
+    for _, binders in children:
+        out = out | {vals[j] for j, kind in binders if kind == VAR}
+    return out
 
 
 def subst_proof_hyp(p: ProofTerm, a: str, q: ProofTerm) -> ProofTerm:

@@ -72,6 +72,8 @@ def infer_term_type(term_vars: Mapping[str, SimpleType], t: Term) -> SimpleType:
         case Zero():
             return NAT
         case Succ(a):
+            while type(a) is Succ:
+                a = a.arg
             s = infer_term_type(term_vars, a)
             if s != NAT:
                 raise SortError("SortMismatch", f"S expects a nat argument, got {print_type(s)}")

@@ -1,8 +1,14 @@
-"""The proof-term reducer that the refocused machine in ``dnsk.evaluate``
-replaced: one CBV step at a time from the root, with a shift reaching its
-reset as a re-raised exception.  Kept verbatim as the oracle of
-``test_proof_machine.py``; its fuel admits one step fewer than the
-machine's."""
+"""Two evaluators that ``dnsk.evaluate`` replaced, kept verbatim as oracles.
+
+The proof-term reducer the refocused machine replaced: one CBV step at a
+time from the root, with a shift reaching its reset as a re-raised
+exception.  It is the oracle of ``test_proof_machine.py``; its fuel admits
+one step fewer than the machine's.
+
+The term normalizer normalization by evaluation replaced, ``_nf``: it
+normalizes both sides of an application and substitutes, renormalizing the
+result.  It is the oracle of ``test_nbe.py``; its substitution is the old
+one from ``reference_syntax``."""
 
 from __future__ import annotations
 
@@ -10,10 +16,46 @@ from typing import Callable
 
 from dnsk.evaluate import FuelExhausted, Stuck
 from dnsk.syntax import (
-    Ascribe, Case, Dest, Efq, ExPair, Forall, Fst, Hyp, Imp, Inl, Inr, PApp,
-    PLam, PPair, ProofTerm, Reset, Shift, Snd, TApp, TLam, contains_shift,
-    fresh_name, fv_proof_hyps, subst_formula, subst_proof_hyp, subst_proof_term,
+    App, Ascribe, Case, Dest, Efq, ExPair, Forall, Fst, Hyp, Imp, Inl, Inr,
+    Lam, PApp, Pair, PLam, PPair, ProofTerm, Proj1, Proj2, Rec, Reset, Shift,
+    Snd, Star, Succ, TApp, Term, TLam, Var, Zero, contains_shift, fresh_name,
+    fv_proof_hyps, subst_formula, subst_proof_hyp, subst_proof_term,
 )
+from reference_syntax import subst_term
+
+
+def _nf(t: Term) -> Term:
+    match t:
+        case Var(_) | Zero() | Star():
+            return t
+        case Succ(a):
+            return Succ(_nf(a))
+        case Lam(x, s, b):
+            return Lam(x, s, _nf(b))
+        case App(f, a):
+            f = _nf(f)
+            a = _nf(a)
+            if isinstance(f, Lam):
+                return _nf(subst_term(f.body, f.var, a))
+            return App(f, a)
+        case Pair(a, b):
+            return Pair(_nf(a), _nf(b))
+        case Proj1(a):
+            a = _nf(a)
+            return a.fst if isinstance(a, Pair) else Proj1(a)
+        case Proj2(a):
+            a = _nf(a)
+            return a.snd if isinstance(a, Pair) else Proj2(a)
+        case Rec(s, n, b, st):
+            n = _nf(n)
+            b = _nf(b)
+            st = _nf(st)
+            if isinstance(n, Zero):
+                return b
+            if isinstance(n, Succ):
+                return _nf(App(App(st, n.arg), Rec(s, n.arg, b, st)))
+            return Rec(s, n, b, st)
+    raise TypeError(f"not a term: {t!r}")
 
 
 def _unwrap(p: ProofTerm) -> ProofTerm:

@@ -1,13 +1,66 @@
 """The hand-written proof traversals the slot table in ``dnsk.syntax``
-replaced, kept verbatim as the oracle of ``test_proof_traversals.py``."""
+replaced, kept verbatim as the oracle of ``test_proof_traversals.py``, and
+the term and formula substitutions that recomputed the replacement's free
+variables at every binder, kept verbatim as the oracle of ``test_nbe.py``."""
 
 from __future__ import annotations
 
 from dnsk.syntax import (
-    Ascribe, Case, Dest, Efq, ExPair, Fst, Hyp, Inl, Inr, PApp, PLam, PPair,
-    ProofTerm, Reset, Shift, Snd, TApp, TLam, Term, Var, _aeq_formula, _aeq_term,
-    _aeq_var, fresh_name, fv_formula, fv_term, subst_formula, subst_term,
+    And, App, Ascribe, Case, Dest, Efq, Eq0, Exists, ExPair, Forall, Formula,
+    Fst, Hyp, Imp, Inl, Inr, Lam, Or, PApp, Pair, PLam, PPair, PredApp,
+    ProofTerm, Proj1, Proj2, Rec, Reset, Shift, Snd, Succ, TApp, TLam, Term,
+    Var, _aeq_formula, _aeq_term, _aeq_var, fresh_name, fv_formula, fv_term,
 )
+
+
+def subst_term(t: Term, x: str, r: Term) -> Term:
+    """Capture-avoiding substitution t[x := r]."""
+    match t:
+        case Var(y):
+            return r if y == x else t
+        case Lam(y, s, b):
+            if y == x:
+                return t
+            if y in fv_term(r) and x in fv_term(b):
+                y2 = fresh_name(y, fv_term(r) | fv_term(b) | {x})
+                b = subst_term(b, y, Var(y2))
+                y = y2
+            return Lam(y, s, subst_term(b, x, r))
+        case App(f, a):
+            return App(subst_term(f, x, r), subst_term(a, x, r))
+        case Pair(a, b):
+            return Pair(subst_term(a, x, r), subst_term(b, x, r))
+        case Proj1(a):
+            return Proj1(subst_term(a, x, r))
+        case Proj2(a):
+            return Proj2(subst_term(a, x, r))
+        case Succ(a):
+            return Succ(subst_term(a, x, r))
+        case Rec(s, n, b, st):
+            return Rec(s, subst_term(n, x, r), subst_term(b, x, r), subst_term(st, x, r))
+        case _:
+            return t
+
+
+def subst_formula(a: Formula, x: str, r: Term) -> Formula:
+    """Capture-avoiding substitution A[x := r] over both quantifier binders."""
+    match a:
+        case Eq0(l, rr):
+            return Eq0(subst_term(l, x, r), subst_term(rr, x, r))
+        case PredApp(p, args):
+            return PredApp(p, tuple(subst_term(t, x, r) for t in args))
+        case And(l, rr) | Or(l, rr) | Imp(l, rr):
+            return type(a)(subst_formula(l, x, r), subst_formula(rr, x, r))
+        case Forall(y, s, b) | Exists(y, s, b):
+            if y == x:
+                return a
+            if y in fv_term(r) and x in fv_formula(b):
+                y2 = fresh_name(y, fv_term(r) | fv_formula(b) | {x})
+                b = subst_formula(b, y, Var(y2))
+                y = y2
+            return type(a)(y, s, subst_formula(b, x, r))
+        case _:
+            return a
 
 
 def fv_proof_hyps(p: ProofTerm) -> frozenset:

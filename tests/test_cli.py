@@ -120,3 +120,21 @@ def test_eval_matches_golden_output():
             with open(os.path.join(GOLDEN_EVAL, golden), "rb") as f:
                 assert out.encode("utf-8") == f.read(), golden
             assert str(code) == expected[golden], golden
+
+
+GOLDEN_EXTRACT = os.path.join(os.path.dirname(__file__), "golden", "extract")
+
+
+def test_extract_matches_golden_output():
+    # stdout byte for byte and the exit code of `dnsk extract` on every
+    # sample, recorded before extraction collected its names in one pass
+    with open(os.path.join(GOLDEN_EXTRACT, "exit_codes.txt"), encoding="utf-8") as f:
+        expected = dict(line.split() for line in f)
+    names = sorted(n for n in os.listdir(SAMPLES) if n.endswith(".dnsk"))
+    assert len(expected) == len(names)
+    for name in names:
+        golden = f"{name[:-len('.dnsk')]}.txt"
+        code, out, _ = invoke("extract", sample(name))
+        with open(os.path.join(GOLDEN_EXTRACT, golden), "rb") as f:
+            assert out.encode("utf-8") == f.read(), golden
+        assert str(code) == expected[golden], golden

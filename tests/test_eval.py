@@ -12,7 +12,8 @@ from dnsk.evaluate import (
 )
 from dnsk.parser import parse_formula, parse_proof, parse_term
 from dnsk.printer import print_proof, print_term
-from dnsk.syntax import App, Lam, NAT, PPair, Var, numeral, numeral_value
+from dnsk.syntax import App, Lam, NAT, PPair, Var, ZERO, numeral, numeral_value
+from dnsk.typecheck import infer_term_type
 from conftest import TEST_SIGNATURE, random_formula, random_pred_tables
 
 SIG = TEST_SIGNATURE
@@ -34,6 +35,32 @@ def test_beta_and_projections():
 def test_normalize_refuses_ill_sorted():
     with pytest.raises(IllSorted):
         normalize_term({}, parse_term("S star"))
+
+
+ADD = ("fun (x:nat) => fun (y:nat) => "
+       "rec[nat](x; y; fun (n:nat) => fun (r:nat) => S r)")
+MUL = ("fun (x:nat) => fun (y:nat) => "
+       "rec[nat](x; 0; fun (n:nat) => fun (r:nat) => (%s) r y)" % ADD)
+
+
+def test_deep_numerals():
+    t = App(App(parse_term(ADD), numeral(5000)), numeral(5000))
+    assert numeral_value(normalize_term({}, t)) == 10000
+    assert infer_term_type({}, numeral(1200)) == NAT
+
+
+def test_term_fuel_counts_applications_and_unfoldings():
+    # mul 8 8: 2 applications of mul; 8 outer unfoldings, each applying its
+    # step twice and add twice; 8i inner unfoldings for i < 8 (224 in all),
+    # each applying its step twice
+    t = App(App(parse_term(MUL), numeral(8)), numeral(8))
+    assert numeral_value(normalize_term({}, t)) == 64
+    need = 2 + 8 * 3 + 8 * 2 + 224 * 3
+    assert numeral_value(normalize_term({}, t, fuel=need)) == 64
+    for fuel in (need - 1, 50, 0, -1):
+        with pytest.raises(FuelExhausted):
+            normalize_term({}, t, fuel=fuel)
+    assert normalize_term({}, ZERO, fuel=0) == ZERO
 
 
 def _term_redexes(t):
@@ -233,6 +260,14 @@ def test_higher_sort_quantifier_rejected():
     with pytest.raises(Exception) as exc:
         eval_formula_bounded(SIG, a, 2, tables())
     assert "HigherSortQuantifier" in type(exc.value).__name__
+
+
+def test_bounded_evaluation_refuses_ill_sorted_terms():
+    for src in ("rec[nat](star; 0; fun (n:nat) => fun (r:nat) => r) = 0",
+                "(0 0) = 0", "S star = 0", "forall x:nat. x x = 0", "P(y)",
+                "star = 0", "P(fun (x:nat) => x)"):
+        with pytest.raises(IllSorted):
+            eval_formula_bounded(SIG, parse_formula(src), 2, tables())
 
 
 def test_missing_pred_table():
