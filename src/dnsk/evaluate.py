@@ -233,16 +233,16 @@ class _NbE:
         return v  # STAR, or a sort or a name in a neutral value
 
 
-def normalize_term(term_vars: Mapping, t: Term, fuel: int = TERM_FUEL) -> Term:
+def normalize_term(term_vars: Mapping, t: Term) -> Term:
     """Full beta/projection/recursor normal form of a well-sorted term.
 
-    ``fuel`` bounds the closure applications and recursor unfoldings, those
-    of read-back included; past it ``FuelExhausted`` is raised."""
+    ``TERM_FUEL`` bounds the closure applications and recursor unfoldings,
+    those of read-back included; past it ``FuelExhausted`` is raised."""
     try:
         infer_term_type(term_vars, t)
     except SortError as e:
         raise IllSorted(str(e)) from e
-    nbe = _NbE(fuel, term_vars)
+    nbe = _NbE(TERM_FUEL, term_vars)
     return nbe.read(nbe.eval(t, {x: _Ne(Var, x) for x in term_vars}))
 
 

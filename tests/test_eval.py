@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+import dnsk.evaluate as evaluate
 from dnsk.evaluate import (
     FuelExhausted, IllSorted, Stuck, eval_formula_bounded, normalize_proof,
     normalize_term,
@@ -49,18 +50,21 @@ def test_deep_numerals():
     assert infer_term_type({}, numeral(1200)) == NAT
 
 
-def test_term_fuel_counts_applications_and_unfoldings():
+def test_term_fuel_counts_applications_and_unfoldings(monkeypatch):
     # mul 8 8: 2 applications of mul; 8 outer unfoldings, each applying its
     # step twice and add twice; 8i inner unfoldings for i < 8 (224 in all),
     # each applying its step twice
     t = App(App(parse_term(MUL), numeral(8)), numeral(8))
     assert numeral_value(normalize_term({}, t)) == 64
     need = 2 + 8 * 3 + 8 * 2 + 224 * 3
-    assert numeral_value(normalize_term({}, t, fuel=need)) == 64
+    monkeypatch.setattr(evaluate, "TERM_FUEL", need)
+    assert numeral_value(normalize_term({}, t)) == 64
     for fuel in (need - 1, 50, 0, -1):
+        monkeypatch.setattr(evaluate, "TERM_FUEL", fuel)
         with pytest.raises(FuelExhausted):
-            normalize_term({}, t, fuel=fuel)
-    assert normalize_term({}, ZERO, fuel=0) == ZERO
+            normalize_term({}, t)
+    monkeypatch.setattr(evaluate, "TERM_FUEL", 0)
+    assert normalize_term({}, ZERO) == ZERO
 
 
 def _term_redexes(t):
