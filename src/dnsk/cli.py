@@ -1,7 +1,9 @@
 """Command-line front end: check, translate, extract, eval, library.
 
 Exit codes: 0 success, 1 logical failure (rejected proof, stuck or
-unrealizable term), 2 usage or parse error.  Output is deterministic.
+unrealizable term), 2 usage or parse error, or input nested deeper than
+the Python stack allows (``dnsk: <file>: input nested too deeply`` on
+stderr).  Output is deterministic.
 """
 
 from __future__ import annotations
@@ -276,6 +278,10 @@ def run(argv, out=None, err=None) -> int:
     except _Failure as e:
         print(f"dnsk: {e}", file=err)
         return e.code
+    except RecursionError:
+        where = f"{args.file}: " if hasattr(args, "file") else ""
+        print(f"dnsk: {where}input nested too deeply", file=err)
+        return 2
 
 
 def main() -> None:

@@ -47,6 +47,28 @@ and with ``a``, to reify F as ``fun a => reset F[a]``.  The reset and
 its segment are replaced by ``reset M[k := fun a => reset F[a]]``.  A shift
 with no reset frame below it is ``Stuck``.
 
+A capture, a beta step and a reset drop each cost time in the size of the
+frames and redex they touch, not of the whole reset body, so a ladder of
+nested shifts reduces in time linear in its steps (Biernacka and Danvy, "A
+concrete framework for environment machines", 2007).  One call keeps three
+memos keyed by node identity, each made at first use and each entry
+holding its node, so that no identity is reused while the call lasts:
+
+- the free hypothesis names that ``fresh_name("a", ...)`` could pick, for
+  every node the capture has walked (``syntax.free_candidates``);
+- the has-shift flag of every node a reset drop has walked
+  (``syntax.contains_shift``);
+- the arguments of beta steps.  Such an argument reached the step as a
+  normal proof, and normality does not depend on the context: no redex and
+  no shift sits in an evaluation position of it.  Wherever the substitution
+  put it, the machine treats it as normal when it next descends to it,
+  instead of walking it down again.
+
+Plugging a frame reuses the nodes below its hole, so after the first
+capture the walks stop at nodes already in the memos.  ``subst_proof_hyp``
+computes the free names of the substituted proof only at the first binder
+it meets, so a beta step into ``reset (f a)`` never reads its argument.
+
 Each contraction costs one unit of fuel.  Only a traced run plugs the whole
 stack into a configuration at every step.
 """
@@ -60,7 +82,7 @@ from .syntax import (
     Imp, Inl, Inr, KernelError, Lam, NAT, numeral, Or, And,
     Pair, PApp, PLam, PPair, PredApp, ProofTerm, Proj1, Proj2, Rec, Reset,
     Bot, Shift, Signature, Snd, Star, Succ, Term, TApp, TLam, ExPair, Var,
-    Zero, contains_shift, fresh_name, fv_proof_hyps, subst_formula,
+    Zero, contains_shift, free_candidates, fresh_name, subst_formula,
     subst_proof_hyp, subst_proof_term,
 )
 from .typecheck import SortError, infer_term_type
@@ -295,8 +317,9 @@ def _plug(frames, q: ProofTerm) -> ProofTerm:
 
 
 def _contract(node: ProofTerm, left, v: ProofTerm):
-    """The reduct of ``node`` with the normal proof v in its evaluation hole
-    (``left`` as in _plug1), or None when that proof is normal."""
+    """The reduct of ``node``, other than a reset, with the normal proof v
+    in its evaluation hole (``left`` as in _plug1), or None when that proof
+    is normal."""
     cls = type(node)
     if cls is PApp:
         fn = _unwrap(left)
@@ -308,8 +331,6 @@ def _contract(node: ProofTerm, left, v: ProofTerm):
         if type(left) is Ascribe and type(left.formula) is Imp:
             return Ascribe(reduct, left.formula.right)
         return reduct
-    if cls is Reset:
-        return None if contains_shift(v) else v
     inner = _unwrap(v)
     ty = type(inner)
     if cls is Fst or cls is Snd:
@@ -347,6 +368,9 @@ def normalize_proof(p: ProofTerm, fuel: int = 10000, trace: bool = False):
     # was pushed, and left is as in _plug1
     stack = []
     focus, normal = p, False
+    # the per-call memos of the module docstring, made at first use: free
+    # candidate names, has-shift flags and the known-normal beta arguments
+    fv_memo = shift_memo = known = None
     while True:
         if normal:
             # ascend with the normal proof v until a frame makes a redex
@@ -359,7 +383,17 @@ def normalize_proof(p: ProofTerm, fuel: int = 10000, trace: bool = False):
                     stack.append((node, v, focus))
                     normal, reduct = False, None
                     break
-                reduct = _contract(node, left, v)
+                if cls is Reset:
+                    if shift_memo is None:
+                        shift_memo = {}
+                    reduct = None if contains_shift(v, shift_memo) else v
+                else:
+                    reduct = _contract(node, left, v)
+                    # a beta argument is normal wherever it is substituted
+                    if cls is PApp and reduct is not None and type(v) in _HOLE:
+                        if known is None:
+                            known = {}
+                        known[id(v)] = v
                 if reduct is not None:
                     # a part of a normal pair, and the body of a dropped
                     # reset, are normal
@@ -378,13 +412,13 @@ def normalize_proof(p: ProofTerm, fuel: int = 10000, trace: bool = False):
             # descend to the leftmost position not yet known to be normal
             cls = type(focus)
             field = _HOLE.get(cls)
-            while field is not None:
+            while field is not None and (known is None or id(focus) not in known):
                 child = getattr(focus, field)
                 stack.append((focus, None, child))
                 focus = child
                 cls = type(focus)
                 field = _HOLE.get(cls)
-            if cls is Hyp or cls is PLam or cls is TLam:
+            if field is not None or cls is Hyp or cls is PLam or cls is TLam:
                 normal = True
                 continue
             if cls is not Shift:
@@ -400,7 +434,9 @@ def normalize_proof(p: ProofTerm, fuel: int = 10000, trace: bool = False):
             frames = stack[i + 1:]
             del stack[i:]
             k = focus.hyp
-            a = fresh_name("a", fv_proof_hyps(_plug(frames, focus)) | {k})
+            if fv_memo is None:
+                fv_memo = {}
+            a = fresh_name("a", free_candidates(_plug(frames, focus), "a", fv_memo) | {k})
             cont = PLam(a, Reset(_plug(frames, Hyp(a))))
             reduct = Reset(subst_proof_hyp(focus.body, k, cont))
         # contract: the reduct replaces the redex, and refocusing starts at it

@@ -1,7 +1,8 @@
 """Abstract syntax: sorts, individual terms, formulas, proof terms.
 
 All nodes are immutable (frozen dataclasses), so structural equality and
-hashing come for free.  Alpha-equivalence and capture-avoiding substitution
+hashing come for free; only Succ defines its own, which walk a numeral's
+chain in a loop.  Alpha-equivalence and capture-avoiding substitution
 are provided as functions over the named representation.
 
 Terms and formulas are traversed by hand.  Proof terms have two name
@@ -10,6 +11,9 @@ table, PROOF_SLOTS: it gives each constructor but Hyp the kind of every
 field in field order, a proof child, a term, a formula or a binder of
 either name space, and a binder scopes over the next proof child.  Free
 names, substitution, alpha-equivalence and the occurs checks read it.
+The occurs checks, and the free-name walk that the proof machine uses to
+pick a fresh name, keep an explicit stack and can share a memo across
+calls (see _memo_walk), so their depth is not bounded by the Python stack.
 """
 
 from __future__ import annotations
@@ -108,6 +112,25 @@ class Zero:
 @dataclass(frozen=True)
 class Succ:
     arg: "Term"
+
+    # a numeral nests one Succ per unit, deeper than the Python stack allows
+    # the generated recursive __eq__ and __hash__, so these walk the chain
+    def __eq__(self, other):
+        if other.__class__ is not Succ:
+            return NotImplemented
+        a, b = self, other
+        while a.__class__ is Succ and b.__class__ is Succ:
+            if a is b:
+                return True
+            a, b = a.arg, b.arg
+        return a == b
+
+    def __hash__(self):
+        k, t = 0, self
+        while t.__class__ is Succ:
+            k += 1
+            t = t.arg
+        return hash((k, t))
 
 
 @dataclass(frozen=True)
@@ -560,9 +583,11 @@ def _free_names(p: ProofTerm, ns: str) -> frozenset:
 
 def _subst(p: ProofTerm, ns: str, x: str, r, rfv: Mapping) -> ProofTerm:
     """p[x := r] in name space ``ns``, where ``rfv`` maps each name space to
-    the free names of ``r``.  A child under a binder of x stays as it is,
-    binders included.  Under other binders, each one free in r is renamed
-    first, in field order, whether or not x occurs in the child."""
+    a one-element list caching the free names of ``r``, or None until the
+    first binder of that name space is met.  A child under a binder of x
+    stays as it is, binders included.  Under other binders, each one free in
+    r is renamed first, in field order, whether or not x occurs in the
+    child."""
     cls = type(p)
     if cls is Hyp:
         return r if ns == HYP and p.name == x else p
@@ -575,8 +600,11 @@ def _subst(p: ProofTerm, ns: str, x: str, r, rfv: Mapping) -> ProofTerm:
                 continue
             for j, kind in binders:
                 b = vals[j]
-                if b in rfv[kind]:
-                    avoid = rfv[kind] | _free_names(child, kind)
+                names = rfv[kind]
+                if names[0] is None:
+                    names[0] = _free_names(r, kind) if ns == HYP else fv_term(r)
+                if b in names[0]:
+                    avoid = names[0] | _free_names(child, kind)
                     b2 = fresh_name(b, avoid | {x} if kind == ns else avoid)
                     if kind == HYP:
                         child = subst_proof_hyp(child, b, Hyp(b2))
@@ -586,7 +614,7 @@ def _subst(p: ProofTerm, ns: str, x: str, r, rfv: Mapping) -> ProofTerm:
         vals[i] = _subst(child, ns, x, r, rfv)
     if ns == VAR:
         for i, _, subst, _ in leaves:
-            vals[i] = subst(vals[i], x, r, [rfv[VAR]])
+            vals[i] = subst(vals[i], x, r, rfv[VAR])
     return cls(*vals)
 
 
@@ -615,21 +643,80 @@ def _aeq_proof(a: ProofTerm, b: ProofTerm, ha, hb, ta, tb, n: int) -> bool:
     return True
 
 
-def _occurs(p: ProofTerm, classes: tuple) -> bool:
-    """True if a node of one of ``classes`` occurs anywhere in the proof."""
-    cls = type(p)
-    if cls in classes:
-        return True
-    if cls is Hyp:
-        return False
-    get, children, _ = _PLANS[cls]
-    vals = get(p)
-    return any(_occurs(vals[i], classes) for i, _ in children)
+def _memo_walk(p: ProofTerm, memo: dict, leaves: Mapping, at_node):
+    """The result of p in a post-order walk with an explicit stack.  A node
+    of a class in ``leaves`` gets ``leaves[cls](node)``; any other gets
+    ``at_node(vals, children, memo)`` from its field values and proof
+    children (as in _PLANS), whose results are in ``memo``.  ``memo`` maps
+    id(node) to (node, result): holding the node keeps its id from being
+    reused while the memo lives, so one memo can serve many calls on
+    proofs that share nodes."""
+    entry = memo.get(id(p))
+    if entry is not None:
+        return entry[1]
+    stack = [p]
+    while stack:
+        q = stack[-1]
+        if id(q) in memo:
+            stack.pop()
+            continue
+        cls = type(q)
+        leaf = leaves.get(cls)
+        if leaf is not None:
+            memo[id(q)] = (q, leaf(q))
+            stack.pop()
+            continue
+        get, children, _ = _PLANS[cls]
+        vals = get(q)
+        todo = [vals[i] for i, _ in children if id(vals[i]) not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        memo[id(q)] = (q, at_node(vals, children, memo))
+        stack.pop()
+    return memo[id(p)][1]
+
+
+def _any_child(vals, children, memo) -> bool:
+    return any(memo[id(vals[i])][1] for i, _ in children)
+
+
+_no, _yes = (lambda p: False), (lambda p: True)
+_SHIFT_LEAVES = {Hyp: _no, Shift: _yes}
+_CONTROL_LEAVES = {Hyp: _no, Shift: _yes, Reset: _yes}
 
 
 def fv_proof_hyps(p: ProofTerm) -> frozenset:
     """Free hypothesis names of a proof term."""
     return _free_names(p, HYP)
+
+
+def free_candidates(p: ProofTerm, base: str, memo: Optional[dict] = None) -> frozenset:
+    """The free hypothesis names of p that fresh_name(base, ...) could
+    return, so that fresh_name(base, free_candidates(p, base) | extra) is
+    fresh_name(base, fv_proof_hyps(p) | extra).  Leaving the other names
+    out keeps each node's set small, so a walk that meets new nodes costs
+    time in their number, not in the names below them.  ``memo``, kept
+    across calls with this one base, holds the names of every node walked
+    (see _memo_walk)."""
+    def at_node(vals, children, memo):
+        out = _NO_NAMES
+        for i, binders in children:
+            fv = memo[id(vals[i])][1]
+            if fv:
+                for j, kind in binders:
+                    if kind == HYP:
+                        fv = fv - {vals[j]}
+                out = out | fv if out else fv
+        return out
+
+    def leaf(q):
+        # fresh_name(base, ...) returns base or base followed by digits
+        rest = q.name[len(base):]
+        if q.name.startswith(base) and (not rest or rest.isdigit()):
+            return frozenset((q.name,))
+        return _NO_NAMES
+    return _memo_walk(p, {} if memo is None else memo, {Hyp: leaf}, at_node)
 
 
 def fv_proof_termvars(p: ProofTerm) -> frozenset:
@@ -655,12 +742,12 @@ def node_termvars(p: ProofTerm) -> frozenset:
 
 def subst_proof_hyp(p: ProofTerm, a: str, q: ProofTerm) -> ProofTerm:
     """Capture-avoiding substitution of a proof term for a hypothesis name."""
-    return _subst(p, HYP, a, q, {HYP: _free_names(q, HYP), VAR: _free_names(q, VAR)})
+    return _subst(p, HYP, a, q, {HYP: [None], VAR: [None]})
 
 
 def subst_proof_term(p: ProofTerm, x: str, t: Term) -> ProofTerm:
     """Substitute an individual term for a term variable inside a proof."""
-    return _subst(p, VAR, x, t, {HYP: _NO_NAMES, VAR: fv_term(t)})
+    return _subst(p, VAR, x, t, {HYP: [_NO_NAMES], VAR: [None]})
 
 
 def alpha_eq_proof(a: ProofTerm, b: ProofTerm) -> bool:
@@ -669,11 +756,13 @@ def alpha_eq_proof(a: ProofTerm, b: ProofTerm) -> bool:
 
 def contains_control(p: ProofTerm) -> bool:
     """True if any Shift or Reset node occurs anywhere in the proof."""
-    return _occurs(p, (Shift, Reset))
+    return _memo_walk(p, {}, _CONTROL_LEAVES, _any_child)
 
 
-def contains_shift(p: ProofTerm) -> bool:
-    return _occurs(p, (Shift,))
+def contains_shift(p: ProofTerm, memo: Optional[dict] = None) -> bool:
+    """True if a Shift node occurs anywhere in the proof.  ``memo``, kept
+    across calls, holds the answer for every node walked (see _memo_walk)."""
+    return _memo_walk(p, {} if memo is None else memo, _SHIFT_LEAVES, _any_child)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import io
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -43,6 +45,37 @@ def test_parse_error_is_usage_exit(tmp_path):
 def test_missing_file_is_usage_exit():
     code, _, err = invoke("check", "no_such_file.dnsk")
     assert code == 2
+
+
+DEEP_SOURCES = {
+    "deep_fst.dnsk": "pred P(nat).\naxiom h : P(0).\nproof deep : P(0) := "
+                     + "fst (" * 200 + "h" + ")" * 200 + ".\n",
+    "deep_numeral.dnsk": "pred P(nat).\nformula big := "
+                         + "S (" * 500 + "0" + ")" * 500 + " = 0.\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_SOURCES))
+def test_too_deep_input_is_usage_exit(tmp_path, name):
+    path = tmp_path / name
+    path.write_text(DEEP_SOURCES[name])
+    code, out, err = invoke("check", str(path))
+    assert code == 2
+    assert err == f"dnsk: {path}: input nested too deeply\n"
+    assert out == ""
+
+
+def test_too_deep_input_prints_no_traceback(tmp_path):
+    path = tmp_path / "deep_fst.dnsk"
+    path.write_text(DEEP_SOURCES["deep_fst.dnsk"])
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in (os.environ.get("PYTHONPATH"),) if p])}
+    proc = subprocess.run([sys.executable, "-m", "dnsk.cli", "check", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"dnsk: {path}: input nested too deeply\n"
 
 
 def test_translate_modes():

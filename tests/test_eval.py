@@ -47,6 +47,7 @@ MUL = ("fun (x:nat) => fun (y:nat) => "
 def test_deep_numerals():
     t = App(App(parse_term(ADD), numeral(5000)), numeral(5000))
     assert numeral_value(normalize_term({}, t)) == 10000
+    assert normalize_term({}, t) == numeral(10000)
     assert infer_term_type({}, numeral(1200)) == NAT
 
 

@@ -5,6 +5,7 @@ compared with ``==``, so every configuration, every fresh continuation name
 and every kept ascription must agree, and so must the ``Stuck`` and
 ``FuelExhausted`` outcomes."""
 
+import gc
 import random
 
 import reference_evaluate as ref
@@ -177,7 +178,7 @@ def gen_redexy(rng, d):
 
 def test_ladders_and_library_traces_equal():
     rng = random.Random(3)
-    proofs = [nested(d) for d in (1, 2, 5, 12)]
+    proofs = [nested(d) for d in (1, 2, 5, 12, 40, 80)]
     proofs += [redex_list(rng, n) for n in (1, 2, 7, 40)]
     proofs += library_applied()
     for p in proofs:
@@ -207,10 +208,98 @@ def test_random_segment_proofs_traces_equal():
 def test_random_redex_rich_proofs_outcomes_equal():
     rng = random.Random(2026)
     seen = set()
+    runs = []
     for _ in range(1500):
         p = gen_redexy(rng, rng.randrange(1, 6))
         # the smaller fuel cuts some reductions short, at the same step
         for fuel in (40, rng.randrange(0, 6)):
             out = assert_same(p, fuel)
             seen.add(out if out in (Stuck, FuelExhausted) else tuple)
+            runs.append((p, fuel, out))
     assert seen == {tuple, Stuck, FuelExhausted}
+    # the machine's memos are keyed by node identity; run everything again
+    # in the other order, on a heap in another state, and get the same
+    gc.collect()
+    for p, fuel, out in reversed(runs):
+        assert outcome(normalize_proof, p, fuel) == out, p
+
+
+def spine(p):
+    """The hypothesis names along the application spine f (g (... h)),
+    read in a loop, as the normal form may be too deep for ``==``."""
+    names = []
+    while type(p) is PApp:
+        names.append(p.fn.name)
+        p = p.arg
+    return names + [p.name]
+
+
+def test_deep_nested_ladders_reach_their_normal_form():
+    # nested(d) is the benchmark's nested_shifts(d); at d = 320 the walks
+    # the machine did before memoizing them overflowed the Python stack
+    for d in (320, 640):
+        final = normalize_proof(nested(d), 4 * d)
+        assert spine(final) == [f"f{i}" for i in reversed(range(d))] + ["a"]
+
+
+def test_shared_nodes_traces_equal():
+    """One Python object at two places: a reset body holding a shift, a
+    redex, and beta arguments that the machine records as normal."""
+    f, b, c = Hyp("f0"), Hyp("b"), Hyp("c")
+    cap = Reset(PApp(f, Shift("k", PApp(Hyp("k"), PApp(Hyp("k"), b)))))
+    body = PApp(f, Shift("k", PPair(Hyp("k"), Hyp("a"))))
+    redex = PApp(PLam("u", PPair(Hyp("u"), Hyp("u"))), PPair(b, c))
+    pair = PPair(b, Reset(PApp(f, c)))
+    twice = PLam("u", PPair(Hyp("u"), Fst(Hyp("u"))))
+    proofs = [
+        PPair(cap, cap),
+        PPair(Reset(body), Reset(PPair(Reset(body), body))),
+        PPair(redex, PPair(redex, Fst(Snd(redex)))),
+        PApp(twice, pair),
+        PPair(PApp(twice, pair), PPair(Fst(pair), PApp(PLam("a", Reset(Hyp("a"))), pair))),
+        PApp(PLam("u", Reset(PApp(f, PApp(Hyp("u"), Hyp("u"))))), PLam("v", Hyp("v"))),
+        Reset(PApp(PLam("u", PPair(Hyp("u"), Shift("k", PApp(Hyp("k"), Hyp("u"))))),
+                   PPair(cap, cap))),
+    ]
+    for p in proofs:
+        assert isinstance(assert_same(p), tuple), p
+
+
+def test_discarded_beta_arguments_traces_equal():
+    """Beta arguments built during the run and dropped by their step, each
+    followed by a substitution that builds fresh nodes: a memo of the
+    arguments that did not hold them would meet their identities again."""
+    b, c = Hyp("b"), Hyp("c")
+    inner = PApp(PLam("w", PPair(Fst(PPair(b, c)), Hyp("w"))), c)
+    for arg in (PPair(b, Fst(PPair(c, c))), Inl(Fst(PPair(c, c)))):
+        item = PApp(PLam("u", inner), arg)
+        p = item
+        for _ in range(59):
+            p = PPair(item, p)
+        assert isinstance(assert_same(p, 1000), tuple)
+
+
+def test_capture_names_avoid_deep_free_names():
+    """The continuation's name skips a and a1 wherever they are free in the
+    reset body, however deep, and only there."""
+    def deep(p, n):
+        for i in range(n):
+            p = PPair(Hyp(f"g{i}"), p)
+        return p
+
+    bodies = [
+        deep(Hyp("a"), 30),
+        deep(PPair(Hyp("a1"), Hyp("a")), 30),
+        deep(PPair(PLam("a", Hyp("a")), Hyp("a1")), 30),
+        deep(Case(Hyp("c"), "a", Hyp("a"), "a1", Hyp("a1")), 30),
+        deep(PPair(Hyp("a"), Reset(PApp(Hyp("a2"), Shift("k", PApp(Hyp("k"), Hyp("a1")))))), 30),
+    ]
+    names = []
+    for body in bodies:
+        for p in (Reset(PApp(Hyp("f"), Shift("k", PApp(Hyp("k"), body)))),
+                  Reset(PPair(body, Shift("a", PApp(Hyp("a"), Hyp("b")))))):
+            final, steps = assert_same(p)
+            names.append(steps[1].body.fn.hyp if type(steps[1].body) is PApp else None)
+    # the second proof of each pair captures with k = a; the last one first
+    # reduces the reset inside its body
+    assert names == ["a1", "a1", "a2", "a2", "a", "a2", "a", "a1", "a3", None]

@@ -126,3 +126,23 @@ def test_derived_traversals_match_hand_written():
             assert syntax.alpha_eq_proof(p, v) and ref.alpha_eq_proof(p, v)
         for v in others:
             assert syntax.alpha_eq_proof(p, v) == ref.alpha_eq_proof(p, v)
+
+
+def test_memoized_walks_match_hand_written():
+    """The explicit-stack walks, each with one memo across every call and
+    with subproofs shared between calls, against the hand-written ones."""
+    rng = random.Random(20261)
+    memos = {"a": {}, "x": {}, "shift": {}}
+    proofs = []
+    for _ in range(2000):
+        p = gen_proof(rng, rng.randrange(1, 5))
+        if proofs and rng.random() < 0.5:
+            p = syntax.PPair(p, rng.choice(proofs))
+        proofs.append(p)
+        fv = ref.fv_proof_hyps(p)
+        for base in ("a", "x"):
+            names = syntax.free_candidates(p, base, memos[base])
+            assert names == {n for n in fv if n in (base, base + "1")}
+            k = rng.choice(HYPS)
+            assert syntax.fresh_name(base, names | {k}) == syntax.fresh_name(base, fv | {k})
+        assert syntax.contains_shift(p, memos["shift"]) == ref.contains_shift(p)

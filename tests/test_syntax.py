@@ -3,8 +3,8 @@
 import random
 
 from dnsk.syntax import (
-    App, Eq0, Exists, Forall, Hyp, Imp, Lam, NAT, PLam, PredApp, Shift, TLam,
-    Var, ZERO, alpha_eq_formula, alpha_eq_proof, alpha_eq_term,
+    App, Eq0, Exists, Forall, Hyp, Imp, Lam, NAT, Pair, PLam, PredApp, Shift,
+    Succ, TLam, Var, ZERO, alpha_eq_formula, alpha_eq_proof, alpha_eq_term,
     contains_control, contains_shift, fresh_name, fv_formula, fv_proof_hyps,
     fv_proof_termvars, fv_term, neg, numeral, numeral_value, subst_formula,
     subst_term,
@@ -64,6 +64,24 @@ def test_neg_shape():
 def test_numerals_roundtrip():
     for k in range(7):
         assert numeral_value(numeral(k)) == k
+
+
+def test_deep_numerals_compare_and_hash():
+    a, b, c = numeral(3000), numeral(3000), numeral(2999)
+    assert a == b and not a != b
+    assert a != c and c != a and not a == c
+    assert hash(a) == hash(b)
+    assert a in {b} and c not in {b} and len({a, b, c}) == 2
+    # other nodes compare and hash their Succ fields through the same loop
+    pa, pb = Pair(a, Var("x")), Pair(b, Var("x"))
+    assert pa == pb and hash(pa) == hash(pb) and pa != Pair(c, Var("x"))
+    assert {Eq0(a, ZERO): 1}[Eq0(b, ZERO)] == 1
+    # a chain over a non-numeral base compares the bases
+    assert Succ(Succ(Var("x"))) == Succ(Succ(Var("x")))
+    assert hash(Succ(Var("x"))) == hash(Succ(Var("x")))
+    assert Succ(Var("x")) != Succ(Var("y")) and Succ(ZERO) != Succ(Succ(ZERO))
+    assert Succ(ZERO) != ZERO and ZERO != Succ(ZERO) and Succ(ZERO) != Var("x")
+    assert a == a and Succ(a) != a
 
 
 def test_proof_free_variables():
