@@ -1,12 +1,18 @@
 """Tokenizer and recursive-descent parser for the concrete grammar.
 
 Categories: sorts, terms, formulas, proof terms, and ``.dnsk`` source files.
-Syntax errors carry line/column positions.  Unknown predicate symbols are
-accepted here and rejected later by checking.
+Unknown predicate symbols are accepted here and rejected later by checking.
+
+Tokens are plain strings: ``tokenize`` is one regular expression run by
+``findall``, and the parser compares texts.  No token keeps its position.
+Syntax errors still carry line/column positions: a parser's first error
+scans the source once more for the start of every token.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,136 +39,138 @@ KEYWORDS = {
     "fst", "snd", "inl", "inr", "efq",
 }
 
+# longest first where one is a prefix of another
 PUNCT = [
     "=>", "->", "/\\", "\\/", ":=", ".1", ".2",
     "(", ")", "[", "]", ",", ";", ":", "*", "~", "=", "@", "|", ".",
 ]
 
+PREFIX_OPS = {"fst": Fst, "snd": Snd, "inl": Inl, "inr": Inr, "efq": Efq, "reset": Reset}
 
-@dataclass
-class Token:
-    kind: str  # 'ident', 'punct', 'eof'
-    text: str
-    line: int
-    col: int
+# Token classes by text.  Every text that is not punctuation or the end
+# marker "" is a name, a keyword or "0".  An application spine of terms
+# or of proofs goes on while the next text can start an argument.
+_NOT_NAME = frozenset(PUNCT) | KEYWORDS | {"0", ""}
+_NOT_TERM_ARG = (frozenset(PUNCT) - {"("}) | (KEYWORDS - {"star", "rec", "S"}) | {""}
+_NOT_PROOF_ARG = (frozenset(PUNCT) - {"(", "["}) | (KEYWORDS - PREFIX_OPS.keys()) | {""}
+
+# Whitespace and comments; a comment runs to the end of its line.
+_SPACE = re.compile(r"\s*(?:#[^\n]*\s*)*")
+# A name starts with a letter or "_" (a word character that is no decimal
+# digit; `tokenize` rejects the numerals among those, like '²' and 'Ⅳ') and
+# goes on with word characters and "'".
+_TEXT = r"[^\W\d][\w']*|0|" + "|".join(map(re.escape, PUNCT))
+# One token and the space after it.  At a character no token starts with,
+# the rest of the input is taken as one text, so only the last text of a
+# scan can be malformed.
+_TOKEN = re.compile(rf"({_TEXT}|(?s:.+)){_SPACE.pattern}")
+_ONE_TOKEN = re.compile(_TEXT)
 
 
 def tokenize(src: str) -> list:
-    toks = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            toks.append(Token("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c == "0":
-            toks.append(Token("ident", "0", line, col))
-            i += 1
-            col += 1
-            continue
-        for p in PUNCT:
-            if src.startswith(p, i):
-                # ".1"/".2" only when not part of a longer number
-                toks.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+    """The token texts of ``src``, then ``""`` as the end marker."""
+    toks = _TOKEN.findall(src, _SPACE.match(src).end())
+    bad = len(toks) - 1 if toks and not _ONE_TOKEN.fullmatch(toks[-1]) else None
+    if not src.isascii():
+        bad = next((i for i, t in enumerate(toks) if not (t[0] < "\x80" or t[0].isalpha())), bad)
+    if bad is not None:
+        raise ParseError(f"unexpected character {toks[bad][0]!r}", *_locator(src)(bad))
+    toks.append("")
     return toks
 
 
-@dataclass
+def _locator(src: str):
+    """The (line, col) of token ``i`` of ``tokenize(src)``, the end marker
+    included, as a function of ``i``: a second scan, made only for an error."""
+    starts, end = [], 0
+    for m in _TOKEN.finditer(src, _SPACE.match(src).end()):
+        starts.append(m.start(1))
+        end = m.end(1)
+    # a comment with no newline after it holds the end marker at its '#'
+    hash_at = src.find("#", max(end, src.rfind("\n") + 1))
+    starts.append(hash_at if hash_at >= 0 else len(src))
+    newlines = [m.start() for m in re.finditer("\n", src)]
+
+    def where(i: int) -> tuple:
+        line = bisect_left(newlines, starts[i])
+        return line + 1, starts[i] - (newlines[line - 1] if line else -1)
+
+    return where
+
+
 class Parser:
-    tokens: list
-    pos: int = 0
+    __slots__ = ("src", "toks", "pos", "_where")
+
+    def __init__(self, src: str, toks: list):
+        self.src = src
+        self.toks = toks  # tokenize(src)
+        self.pos = 0
+        self._where = None
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def error(self, message: str, at: Optional[int] = None) -> ParseError:
+        """A ParseError at token ``at``, by default the current one.  The
+        speculative parse in ``formula_atom`` raises on valid input, so the
+        scan for positions is kept."""
+        if self._where is None:
+            self._where = _locator(self.src)
+        return ParseError(message, *self._where(self.pos if at is None else at))
 
-    def next(self) -> Token:
-        t = self.peek()
+    def peek(self) -> str:
+        return self.toks[self.pos]
+
+    def next(self) -> str:
+        t = self.toks[self.pos]
         self.pos += 1
         return t
 
-    def at(self, text: str) -> bool:
-        t = self.peek()
-        return t.text == text and t.kind != "eof"
-
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text or t.kind == "eof":
-            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}", t.line, t.col)
-        return self.next()
+    def expect(self, text: str) -> None:
+        t = self.toks[self.pos]
+        if t != text:
+            raise self.error(f"expected {text!r}, found {t or 'end of input'!r}")
+        self.pos += 1
 
     def ident(self) -> str:
-        t = self.peek()
-        if t.kind != "ident" or t.text in KEYWORDS or t.text == "0":
-            raise ParseError(f"expected identifier, found {t.text or 'end of input'!r}", t.line, t.col)
-        return self.next().text
-
-    def fail(self, message: str):
-        t = self.peek()
-        raise ParseError(message, t.line, t.col)
+        t = self.toks[self.pos]
+        if t in _NOT_NAME:
+            raise self.error(f"expected identifier, found {t or 'end of input'!r}")
+        self.pos += 1
+        return t
 
     # -- sorts --------------------------------------------------------------
 
     def type_(self) -> SimpleType:
         left = self.type_prod()
-        if self.at("->"):
-            self.next()
+        if self.toks[self.pos] == "->":
+            self.pos += 1
             return Arrow(left, self.type_())
         return left
 
     def type_prod(self) -> SimpleType:
         left = self.type_atom()
-        if self.at("*"):
-            self.next()
+        if self.toks[self.pos] == "*":
+            self.pos += 1
             return Prod(left, self.type_prod())
         return left
 
     def type_atom(self) -> SimpleType:
-        t = self.peek()
-        if t.text == "nat":
-            self.next()
+        t = self.next()
+        if t == "nat":
             return NAT
-        if t.text == "unit":
-            self.next()
+        if t == "unit":
             return UNIT
-        if t.text == "(":
-            self.next()
+        if t == "(":
             out = self.type_()
             self.expect(")")
             return out
-        self.fail(f"expected a sort, found {t.text!r}")
+        raise self.error(f"expected a sort, found {t!r}", self.pos - 1)
 
     # -- terms --------------------------------------------------------------
 
     def term(self) -> Term:
-        if self.at("fun"):
-            self.next()
+        if self.toks[self.pos] == "fun":
+            self.pos += 1
             self.expect("(")
             x = self.ident()
             self.expect(":")
@@ -172,46 +180,39 @@ class Parser:
             return Lam(x, s, self.term())
         return self.term_app()
 
-    def _starts_term_item(self) -> bool:
-        t = self.peek()
-        if t.kind == "ident":
-            return t.text not in KEYWORDS or t.text in ("star", "rec", "S", "fun") or t.text == "0"
-        return t.text == "("
-
     def term_app(self) -> Term:
         out = self.term_item()
-        while self._starts_term_item() and not self.at("fun"):
+        while self.toks[self.pos] not in _NOT_TERM_ARG:
             out = App(out, self.term_item())
         return out
 
     def term_item(self) -> Term:
-        if self.at("S"):
-            self.next()
+        if self.toks[self.pos] == "S":
+            self.pos += 1
             return Succ(self.term_item())
         return self.term_postfix()
 
     def term_postfix(self) -> Term:
         out = self.term_atom()
         while True:
-            if self.at(".1"):
-                self.next()
+            t = self.toks[self.pos]
+            if t == ".1":
                 out = Proj1(out)
-            elif self.at(".2"):
-                self.next()
+            elif t == ".2":
                 out = Proj2(out)
             else:
                 return out
+            self.pos += 1
 
     def term_atom(self) -> Term:
-        t = self.peek()
-        if t.text == "star":
-            self.next()
+        t = self.next()
+        if t not in _NOT_NAME:
+            return Var(t)
+        if t == "star":
             return STAR
-        if t.text == "0":
-            self.next()
+        if t == "0":
             return ZERO
-        if t.text == "rec":
-            self.next()
+        if t == "rec":
             self.expect("[")
             s = self.type_()
             self.expect("]")
@@ -223,19 +224,16 @@ class Parser:
             step = self.term()
             self.expect(")")
             return Rec(s, scrut, base, step)
-        if t.text == "(":
-            self.next()
+        if t == "(":
             first = self.term()
-            if self.at(","):
-                self.next()
+            if self.toks[self.pos] == ",":
+                self.pos += 1
                 second = self.term()
                 self.expect(")")
                 return Pair(first, second)
             self.expect(")")
             return first
-        if t.kind == "ident" and t.text not in KEYWORDS:
-            return Var(self.next().text)
-        self.fail(f"expected a term, found {t.text or 'end of input'!r}")
+        raise self.error(f"expected a term, found {t or 'end of input'!r}", self.pos - 1)
 
     # -- formulas -----------------------------------------------------------
 
@@ -244,101 +242,99 @@ class Parser:
 
     def formula_imp(self) -> Formula:
         left = self.formula_or()
-        if self.at("->"):
-            self.next()
+        if self.toks[self.pos] == "->":
+            self.pos += 1
             return Imp(left, self.formula_imp())
         return left
 
     def formula_or(self) -> Formula:
         left = self.formula_and()
-        if self.at("\\/"):
-            self.next()
+        if self.toks[self.pos] == "\\/":
+            self.pos += 1
             return Or(left, self.formula_or())
         return left
 
     def formula_and(self) -> Formula:
         left = self.formula_unary()
-        if self.at("/\\"):
-            self.next()
+        if self.toks[self.pos] == "/\\":
+            self.pos += 1
             return And(left, self.formula_and())
         return left
 
     def formula_unary(self) -> Formula:
-        if self.at("~"):
-            self.next()
+        if self.toks[self.pos] == "~":
+            self.pos += 1
             return neg(self.formula_unary())
         return self.formula_atom()
 
     def formula_atom(self) -> Formula:
-        t = self.peek()
-        if t.text == "bot":
-            self.next()
+        t = self.toks[self.pos]
+        if t == "bot":
+            self.pos += 1
             return BOT
-        if t.text in ("forall", "exists"):
-            kind = self.next().text
+        if t in ("forall", "exists"):
+            self.pos += 1
             x = self.ident()
             self.expect(":")
             s = self.type_()
             self.expect(".")
             body = self.formula()
-            return Forall(x, s, body) if kind == "forall" else Exists(x, s, body)
-        if t.kind == "ident" and t.text not in KEYWORDS and t.text != "0" and self.peek(1).text == "(":
+            return Forall(x, s, body) if t == "forall" else Exists(x, s, body)
+        if t not in _NOT_NAME and self.toks[self.pos + 1] == "(":
             # predicate application; an equation with an application on the
             # left must parenthesize it, e.g. (f x) = 0
-            name = self.ident()
-            self.expect("(")
+            self.pos += 2
             args = [self.term()]
-            while self.at(","):
-                self.next()
+            while self.toks[self.pos] == ",":
+                self.pos += 1
                 args.append(self.term())
             self.expect(")")
-            return PredApp(name, tuple(args))
-        if t.text == "(":
+            return PredApp(t, tuple(args))
+        if t == "(":
             # parenthesized formula, or parenthesized term starting an equation
             saved = self.pos
             try:
-                self.next()
+                self.pos += 1
                 inner = self.formula()
                 self.expect(")")
-                if not self.at("=") and not self.at(".1") and not self.at(".2"):
+                if self.toks[self.pos] not in ("=", ".1", ".2"):
                     return inner
             except ParseError:
                 pass
             self.pos = saved
-            return self._equation()
         return self._equation()
 
     def _equation(self) -> Formula:
-        t = self.peek()
+        start = self.pos
         lhs = self.term()
-        if self.at("="):
-            self.next()
+        if self.toks[self.pos] == "=":
+            self.pos += 1
             return Eq0(lhs, self.term())
         if isinstance(lhs, Var):
             return PredApp(lhs.name, ())
-        raise ParseError("expected '=' after term in formula", t.line, t.col)
+        raise self.error("expected '=' after term in formula", start)
 
     # -- proof terms ----------------------------------------------------------
 
     def proof(self) -> ProofTerm:
-        t = self.peek()
-        if t.text == "fun":
-            self.next()
+        t = self.toks[self.pos]
+        if t == "fun":
+            self.pos += 1
             a = self.ident()
             self.expect("=>")
             return PLam(a, self.proof())
-        if t.text == "tfun":
-            self.next()
+        if t == "tfun":
+            self.pos += 1
             x = self.ident()
             self.expect("=>")
             return TLam(x, self.proof())
-        if t.text == "shift":
-            self.next()
+        if t == "shift":
+            self.pos += 1
             k = self.ident()
             self.expect("=>")
             return Shift(k, self.proof())
-        if t.text == "case":
-            self.next()
+        if t == "case":
+            self.pos += 1
             scrut = self.proof_app()
             self.expect("of")
             a1 = self.ident()
@@ -349,8 +345,8 @@ class Parser:
             self.expect("=>")
             b2 = self.proof()
             return Case(scrut, a1, b1, a2, b2)
-        if t.text == "dest":
-            self.next()
+        if t == "dest":
+            self.pos += 1
             scrut = self.proof_app()
             self.expect("as")
             self.expect("[")
@@ -362,68 +358,58 @@ class Parser:
             return Dest(scrut, x, a, self.proof())
         return self.proof_app()
 
-    PREFIX_OPS = {"fst": Fst, "snd": Snd, "inl": Inl, "inr": Inr, "efq": Efq, "reset": Reset}
-
-    def _starts_proof_item(self) -> bool:
-        t = self.peek()
-        if t.kind == "ident":
-            return t.text in self.PREFIX_OPS or t.text not in KEYWORDS
-        return t.text in ("(", "[")
-
     def proof_app(self) -> ProofTerm:
         out = self.proof_prefix()
         while True:
-            if self.at("@"):
-                self.next()
+            t = self.toks[self.pos]
+            if t == "@":
+                self.pos += 1
                 out = TApp(out, self.term_postfix())
-            elif self._starts_proof_item():
+            elif t not in _NOT_PROOF_ARG:
                 out = PApp(out, self.proof_prefix())
             else:
                 return out
 
     def proof_prefix(self) -> ProofTerm:
-        t = self.peek()
-        ctor = self.PREFIX_OPS.get(t.text)
+        ctor = PREFIX_OPS.get(self.toks[self.pos])
         if ctor is not None:
-            self.next()
+            self.pos += 1
             return ctor(self.proof_prefix())
         return self.proof_atom()
 
     def proof_atom(self) -> ProofTerm:
-        t = self.peek()
-        if t.text == "(":
-            self.next()
+        t = self.next()
+        if t not in _NOT_NAME:
+            return Hyp(t)
+        if t == "(":
             first = self.proof()
-            if self.at(","):
-                self.next()
+            if self.toks[self.pos] == ",":
+                self.pos += 1
                 second = self.proof()
                 self.expect(")")
                 return PPair(first, second)
-            if self.at(":"):
-                self.next()
+            if self.toks[self.pos] == ":":
+                self.pos += 1
                 f = self.formula()
                 self.expect(")")
                 return Ascribe(first, f)
             self.expect(")")
             return first
-        if t.text == "[":
-            self.next()
+        if t == "[":
             w = self.term()
             self.expect(",")
             body = self.proof()
             self.expect("]")
             return ExPair(w, body)
-        if t.kind == "ident" and t.text not in KEYWORDS and t.text != "0":
-            return Hyp(self.next().text)
-        self.fail(f"expected a proof term, found {t.text or 'end of input'!r}")
+        raise self.error(f"expected a proof term, found {t or 'end of input'!r}", self.pos - 1)
 
 
 def _run(src: str, method: str):
-    p = Parser(tokenize(src))
+    p = Parser(src, tokenize(src))
     out = getattr(p, method)()
     tail = p.peek()
-    if tail.kind != "eof":
-        raise ParseError(f"trailing input {tail.text!r}", tail.line, tail.col)
+    if tail:
+        raise p.error(f"trailing input {tail!r}")
     return out
 
 
@@ -509,88 +495,70 @@ DIRECTIVE_KINDS = ("check", "translate", "extract", "eval")
 
 def parse_source(src: str) -> SourceFile:
     """Parse a .dnsk file: period-terminated declarations and directives."""
-    p = Parser(tokenize(src))
+    p = Parser(src, tokenize(src))
     out = SourceFile()
     names = set()
 
-    def declare(name: str, tok: Token):
+    def declare() -> str:
+        at = p.pos
+        name = p.ident()
         if name in names:
-            raise ParseError(f"duplicate name {name!r}", tok.line, tok.col)
+            raise p.error(f"duplicate name {name!r}", at)
         names.add(name)
+        return name
 
-    def require(name: str, tok: Token):
-        if name not in names:
-            raise ParseError(f"forward or unknown reference {name!r}", tok.line, tok.col)
-
-    while p.peek().kind != "eof":
-        t = p.peek()
-        if t.text == "pred":
-            p.next()
-            tok = p.peek()
-            name = p.ident()
-            declare(name, tok)
+    while p.peek():
+        t = p.next()
+        if t == "pred":
+            name = declare()
             sorts = []
-            if p.at("("):
-                p.next()
+            if p.peek() == "(":
+                p.pos += 1
                 sorts.append(p.type_())
-                while p.at(","):
-                    p.next()
+                while p.peek() == ",":
+                    p.pos += 1
                     sorts.append(p.type_())
                 p.expect(")")
             out.decls.append(PredDecl(name, tuple(sorts)))
-        elif t.text == "formula":
-            p.next()
-            tok = p.peek()
-            name = p.ident()
-            declare(name, tok)
+        elif t == "formula":
+            name = declare()
             p.expect(":=")
             out.decls.append(FormulaDecl(name, p.formula()))
-        elif t.text == "axiom":
-            p.next()
-            tok = p.peek()
-            name = p.ident()
-            declare(name, tok)
+        elif t == "axiom":
+            name = declare()
             p.expect(":")
             f = p.formula()
             realizer = None
-            if p.at(":="):
-                p.next()
+            if p.peek() == ":=":
+                p.pos += 1
                 realizer = p.term()
             out.decls.append(AxiomDecl(name, f, realizer))
-        elif t.text == "proof":
-            p.next()
+        elif t == "proof":
             ann = "plain"
-            if p.at("["):
-                p.next()
+            if p.peek() == "[":
+                p.pos += 1
                 p.expect("bot")
                 p.expect("]")
                 ann = "bot"
-            tok = p.peek()
-            name = p.ident()
-            declare(name, tok)
+            name = declare()
             p.expect(":")
             goal = p.formula()
             p.expect(":=")
             out.decls.append(ProofDecl(name, ann, goal, p.proof()))
-        elif t.text == "term":
-            p.next()
-            tok = p.peek()
-            name = p.ident()
-            declare(name, tok)
+        elif t == "term":
+            name = declare()
             p.expect(":")
             s = p.type_()
             p.expect(":=")
             out.decls.append(TermDecl(name, s, p.term()))
-        elif t.text in DIRECTIVE_KINDS:
-            kind = p.next().text
-            mode = None
-            if kind == "translate":
-                mode = p.ident()
-            tok = p.peek()
+        elif t in DIRECTIVE_KINDS:
+            mode = p.ident() if t == "translate" else None
+            at = p.pos
             name = p.ident()
-            require(name, tok)
-            out.decls.append(Directive(kind, name, mode))
+            if name not in names:
+                raise p.error(f"forward or unknown reference {name!r}", at)
+            out.decls.append(Directive(t, name, mode))
         else:
-            raise ParseError(f"expected a declaration, found {t.text or 'end of input'!r}", t.line, t.col)
+            raise p.error(f"expected a declaration, found {t!r}", p.pos - 1)
         p.expect(".")
     return out

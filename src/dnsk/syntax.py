@@ -19,7 +19,7 @@ calls (see _memo_walk), so their depth is not bounded by the Python stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Mapping, Optional, Union
 
 
@@ -457,6 +457,28 @@ class PApp:
     fn: "ProofTerm"
     arg: "ProofTerm"
 
+    # normal forms such as f (g (... a)) nest one PApp per application in
+    # the argument, deeper than the Python stack allows the generated
+    # recursive __eq__ and __hash__, so these walk the arg chain as Succ does
+    def __eq__(self, other):
+        if other.__class__ is not PApp:
+            return NotImplemented
+        a, b = self, other
+        while a.__class__ is PApp and b.__class__ is PApp:
+            if a is b:
+                return True
+            if a.fn != b.fn:
+                return False
+            a, b = a.arg, b.arg
+        return a == b
+
+    def __hash__(self):
+        fns, t = [], self
+        while t.__class__ is PApp:
+            fns.append(t.fn)
+            t = t.arg
+        return hash((tuple(fns), t))
+
 
 @dataclass(frozen=True)
 class TLam:
@@ -587,12 +609,14 @@ def _subst(p: ProofTerm, ns: str, x: str, r, rfv: Mapping) -> ProofTerm:
     first binder of that name space is met.  A child under a binder of x
     stays as it is, binders included.  Under other binders, each one free in
     r is renamed first, in field order, whether or not x occurs in the
-    child."""
+    child.  A node none of whose fields changed is returned itself, so
+    untouched subtrees stay shared."""
     cls = type(p)
     if cls is Hyp:
         return r if ns == HYP and p.name == x else p
     get, children, leaves = _PLANS[cls]
-    vals = list(get(p))
+    old = get(p)
+    vals = list(old)
     for i, binders in children:
         child = vals[i]
         if binders:
@@ -615,6 +639,8 @@ def _subst(p: ProofTerm, ns: str, x: str, r, rfv: Mapping) -> ProofTerm:
     if ns == VAR:
         for i, _, subst, _ in leaves:
             vals[i] = subst(vals[i], x, r, rfv[VAR])
+    if all(map(is_, vals, old)):
+        return p
     return cls(*vals)
 
 

@@ -1,6 +1,7 @@
 """Concrete syntax: parsing, printing, and the round-trip property."""
 
 import random
+import time
 
 import pytest
 
@@ -97,3 +98,49 @@ def test_printed_library_proofs_roundtrip():
     for e in build_library():
         assert parse_proof(print_proof(e.proof)) == e.proof
         assert alpha_eq_formula(parse_formula(print_formula(e.goal)), e.goal)
+
+
+# (entry point, source, message, line, col), as the per-character scanner
+# this parser replaced reported them
+ERROR_POSITIONS = [
+    (parse_term, "x $ y", "unexpected character '$'", 1, 3),
+    (parse_source, "pred P(nat).\n\taxiom a : P(0) := star ?", "unexpected character '?'", 2, 25),
+    (parse_formula, "P(x) /\\ Ⅳ", "unexpected character 'Ⅳ'", 1, 9),
+    (parse_term, "(x", "expected ')', found 'end of input'", 1, 3),
+    (parse_term, "(x # no newline", "expected ')', found 'end of input'", 1, 4),
+    (parse_proof, "(a,)", "expected a proof term, found ')'", 1, 4),
+    (parse_type, "nat ->", "expected a sort, found ''", 1, 7),
+    (parse_term, "x )", "trailing input ')'", 1, 3),
+    (parse_proof, "fun h =>\n  h\n  ]", "trailing input ']'", 3, 3),
+    (parse_formula, "(f x)", "expected '=' after term in formula", 1, 1),
+    (parse_formula, "P(0) ->\n  (f x) /\\ Q", "expected '=' after term in formula", 2, 3),
+    (parse_source, "pred P(nat).\npred Q.\r\n pred P(nat).", "duplicate name 'P'", 3, 7),
+    (parse_source, "pred P.\ncheck ghost.", "forward or unknown reference 'ghost'", 2, 7),
+    (parse_source, "pred P.\n# comment\n  formula F := P.\n  translate kuroda G.",
+     "forward or unknown reference 'G'", 4, 20),
+]
+
+
+@pytest.mark.parametrize("parse, src, message, line, col", ERROR_POSITIONS)
+def test_error_positions(parse, src, message, line, col):
+    with pytest.raises(ParseError) as info:
+        parse(src)
+    assert (str(info.value), info.value.line, info.value.col) == \
+        (f"{line}:{col}: {message}", line, col)
+
+
+def test_speculative_parentheses_are_linear():
+    # each "(x.1)" is first tried as a parenthesized formula, which fails
+    # and is caught: the error's position must not cost a scan per failure
+    def seconds(n):
+        src = " /\\ ".join(["(x.1) = 0"] * n)
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            parse_formula(src)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    seconds(100)  # warm up
+    t200, t400, t800 = seconds(200), seconds(400), seconds(800)
+    assert t400 <= 2.5 * t200 and t800 <= 2.5 * t400, (t200, t400, t800)

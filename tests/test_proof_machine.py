@@ -13,7 +13,7 @@ from dnsk.evaluate import FuelExhausted, Stuck, normalize_proof
 from dnsk.syntax import (
     And, Ascribe, BOT, Case, Dest, Efq, Eq0, ExPair, Exists, Forall, Fst, Hyp,
     Imp, Inl, Inr, NAT, Or, PApp, PLam, PPair, PredApp, Reset, Shift, Snd,
-    Succ, TApp, TLam, Var, ZERO,
+    Succ, TApp, TLam, Var, ZERO, subst_proof_hyp,
 )
 from dnsk.theorems import build_library
 
@@ -224,22 +224,27 @@ def test_random_redex_rich_proofs_outcomes_equal():
         assert outcome(normalize_proof, p, fuel) == out, p
 
 
-def spine(p):
-    """The hypothesis names along the application spine f (g (... h)),
-    read in a loop, as the normal form may be too deep for ``==``."""
-    names = []
-    while type(p) is PApp:
-        names.append(p.fn.name)
-        p = p.arg
-    return names + [p.name]
-
-
 def test_deep_nested_ladders_reach_their_normal_form():
     # nested(d) is the benchmark's nested_shifts(d); at d = 320 the walks
-    # the machine did before memoizing them overflowed the Python stack
+    # the machine did before memoizing them overflowed the Python stack, and
+    # the 640-deep normal form is past what a recursive == could compare
     for d in (320, 640):
         final = normalize_proof(nested(d), 4 * d)
-        assert spine(final) == [f"f{i}" for i in reversed(range(d))] + ["a"]
+        expected = Hyp("a")
+        for i in range(d):
+            expected = PApp(Hyp(f"f{i}"), expected)
+        assert final == expected and hash(final) == hash(expected)
+        assert final != PApp(Hyp("f0"), expected) and expected != final.arg
+
+
+def test_substitution_keeps_untouched_subtrees():
+    # no binder of p is free in the replacement and zz is not free in p, so
+    # p comes back itself; the machine's identity memos then see shared nodes
+    p = nested(40)
+    assert subst_proof_hyp(p, "zz", Hyp("b")) is p
+    q = PPair(p, Hyp("zz"))
+    out = subst_proof_hyp(q, "zz", Hyp("b"))
+    assert out == PPair(p, Hyp("b")) and out.fst is p
 
 
 def test_shared_nodes_traces_equal():

@@ -110,6 +110,8 @@ def test_derived_traversals_match_hand_written():
         assert sh == ref.subst_proof_hyp(p, a, q)
         st = syntax.subst_proof_term(p, x, t)
         assert st == ref.subst_proof_term(p, x, t)
+        # a substitution that finds nothing to replace or rename returns p
+        assert syntax.subst_proof_hyp(p, "zz", Hyp("zz1")) is p
         # renamed variants: substituting for an absent name renames every
         # binder the replacement mentions, so these are alpha-equal to p;
         # the others rename a free name or rebind a body and mostly are not
