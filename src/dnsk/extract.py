@@ -59,8 +59,13 @@ def _cond(sort: SimpleType, flag: Term, if_zero: Term, if_nonzero: Term) -> Term
 
 
 class _Extractor:
-    def __init__(self, env: ExtractionEnv, avoid):
+    """One extract_mr call.  ``memo`` holds the free variables of every
+    formula and term node read (see syntax.fv_term), so a substitution into
+    a realizer enters only the subterms in which its variable occurs."""
+
+    def __init__(self, env: ExtractionEnv, avoid, memo: dict):
         self.env = env
+        self.memo = memo
         self.avoid = set(avoid)
         for t in env.axiom_realizers.values():
             self.avoid |= fv_term(t)
@@ -110,8 +115,8 @@ class _Extractor:
                 v2 = self.fresh("r")
                 left = self.extract(kids[1], {**local, case_node.left_name: v1})
                 right = self.extract(kids[2], {**local, case_node.right_name: v2})
-                left = subst_term(left, v1, Proj1(Proj1(s)))
-                right = subst_term(right, v2, Proj2(Proj1(s)))
+                left = subst_term(left, v1, Proj1(Proj1(s)), self.memo)
+                right = subst_term(right, v2, Proj2(Proj1(s)), self.memo)
                 return _cond(mr_type(goal), Proj2(s), left, right)
             case "imp_i":
                 assert isinstance(goal, Imp)
@@ -134,8 +139,8 @@ class _Extractor:
                 node = d.subject
                 v = self.fresh("r")
                 body = self.extract(kids[1], {**local, node.hyp: v})
-                body = subst_term(body, v, Proj1(s))
-                body = subst_term(body, node.var, Proj2(s))
+                body = subst_term(body, v, Proj1(s), self.memo)
+                body = subst_term(body, node.var, Proj2(s), self.memo)
                 return body
             case "bot_e":
                 return dummy(mr_type(goal))
@@ -149,29 +154,27 @@ class _Extractor:
         raise ExtractionError("UnknownRule", f"unhandled rule {rule!r}")
 
 
-def _names_in(d: Derivation, out: set) -> None:
+def _names_in(d: Derivation, out: set, memo: dict) -> None:
     """Add every individual-variable name the derivation mentions: the free
     variables of each goal, and the names in each subject node's own slots.
     Every subproof is the subject of one node, so this covers the free
-    variables of every subject, and a goal shared by several nodes is read
-    once."""
-    goals = set()
+    variables of every subject.  The free variables are read through
+    ``memo`` (see syntax.fv_term), so a subformula shared by several goals
+    is walked once."""
     stack = [d]
     while stack:
         d = stack.pop()
-        if id(d.goal) not in goals:
-            goals.add(id(d.goal))
-            out |= fv_formula(d.goal)
-        out |= node_termvars(d.subject)
+        out |= fv_formula(d.goal, memo)
+        out |= node_termvars(d.subject, memo)
         stack.extend(d.children)
 
 
 def extract_mr(derivation: Derivation, env: ExtractionEnv) -> Term:
     """Compile a control-free derivation into a realizer of its goal's sort."""
     avoid = set(env.hyp_realizers.values())
-    _names_in(derivation, avoid)
-    ex = _Extractor(env, avoid)
-    return ex.extract(derivation, {})
+    memo: dict = {}
+    _names_in(derivation, avoid, memo)
+    return _Extractor(env, avoid, memo).extract(derivation, {})
 
 
 def realizer_context(term_vars: Mapping[str, SimpleType], ctx_hyps: Mapping[str, Formula],

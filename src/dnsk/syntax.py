@@ -5,15 +5,21 @@ hashing come for free; only Succ defines its own, which walk a numeral's
 chain in a loop.  Alpha-equivalence and capture-avoiding substitution
 are provided as functions over the named representation.
 
-Terms and formulas are traversed by hand.  Proof terms have two name
-spaces, hypotheses and individual variables, and are traversed through one
-table, PROOF_SLOTS: it gives each constructor but Hyp the kind of every
-field in field order, a proof child, a term, a formula or a binder of
-either name space, and a binder scopes over the next proof child.  Free
-names, substitution, alpha-equivalence and the occurs checks read it.
-The occurs checks, and the free-name walk that the proof machine uses to
-pick a fresh name, keep an explicit stack and can share a memo across
-calls (see _memo_walk), so their depth is not bounded by the Python stack.
+Terms and formulas are traversed by hand.  A substitution returns a node
+itself when nothing in it changed, so untouched subtrees stay shared.
+fv_term and fv_formula take an optional memo of free variables by node
+identity, which check_proof and extract_mr keep for one call; given it, a
+substitution does not enter a subtree in which its variable is not free.
+
+Proof terms have two name spaces, hypotheses and individual variables, and
+are traversed through one table, PROOF_SLOTS: it gives each constructor but
+Hyp the kind of every field in field order, a proof child, a term, a
+formula or a binder of either name space, and a binder scopes over the next
+proof child.  Free names, substitution, alpha-equivalence and the occurs
+checks read it.  The occurs checks, and the free-name walk that the proof
+machine uses to pick a fresh name, keep an explicit stack and can share a
+memo across calls (see _memo_walk), so their depth is not bounded by the
+Python stack.
 """
 
 from __future__ import annotations
@@ -172,32 +178,54 @@ def fresh_name(base: str, avoid) -> str:
     return f"{base}{i}"
 
 
-def fv_term(t: Term) -> frozenset:
+_NO_NAMES: frozenset = frozenset()
+
+
+def fv_term(t: Term, memo: Optional[dict] = None) -> frozenset:
+    """Free variables of a term.  ``memo``, kept by a caller for the length
+    of one call, maps id(node) to (node, free variables) for every node
+    walked (the node is held so that its id is not reused), so a subterm
+    shared by many terms is walked once."""
+    if memo is not None:
+        entry = memo.get(id(t))
+        if entry is not None:
+            return entry[1]
     match t:
         case Var(x):
-            return frozenset((x,))
+            out = frozenset((x,))
         case Lam(x, _, b):
-            return fv_term(b) - {x}
+            out = fv_term(b, memo) - {x}
         case App(f, a):
-            return fv_term(f) | fv_term(a)
+            out = fv_term(f, memo) | fv_term(a, memo)
         case Pair(a, b):
-            return fv_term(a) | fv_term(b)
-        case Proj1(a) | Proj2(a) | Succ(a):
-            return fv_term(a)
+            out = fv_term(a, memo) | fv_term(b, memo)
+        case Proj1(a) | Proj2(a):
+            out = fv_term(a, memo)
+        case Succ(a):
+            while a.__class__ is Succ:
+                a = a.arg
+            out = fv_term(a, memo)
         case Rec(_, n, b, s):
-            return fv_term(n) | fv_term(b) | fv_term(s)
+            out = fv_term(n, memo) | fv_term(b, memo) | fv_term(s, memo)
         case _:
-            return frozenset()
+            return _NO_NAMES
+    if memo is not None:
+        memo[id(t)] = (t, out)
+    return out
 
 
-def subst_term(t: Term, x: str, r: Term) -> Term:
-    """Capture-avoiding substitution t[x := r]."""
-    return _subst_term(t, x, r, [None])
+def subst_term(t: Term, x: str, r: Term, memo: Optional[dict] = None) -> Term:
+    """Capture-avoiding substitution t[x := r].  A subterm in which nothing
+    changes is returned itself.  Given a ``memo`` of free variables (see
+    fv_term), the walk does not enter a subterm in which x is not free."""
+    return _subst_term(t, x, r, [None], memo)
 
 
-def _subst_term(t: Term, x: str, r: Term, rfv: list) -> Term:
+def _subst_term(t: Term, x: str, r: Term, rfv: list, memo: Optional[dict] = None) -> Term:
     # rfv[0] caches fv_term(r); it is computed at the first binder met, so a
     # substitution into a term without binders never reads r
+    if memo is not None and x not in fv_term(t, memo):
+        return t
     match t:
         case Var(y):
             return r if y == x else t
@@ -206,24 +234,25 @@ def _subst_term(t: Term, x: str, r: Term, rfv: list) -> Term:
                 return t
             if rfv[0] is None:
                 rfv[0] = fv_term(r)
-            if y in rfv[0] and x in fv_term(b):
-                y2 = fresh_name(y, rfv[0] | fv_term(b) | {x})
-                b = subst_term(b, y, Var(y2))
-                y = y2
-            return Lam(y, s, _subst_term(b, x, r, rfv))
+            if y in rfv[0] and x in (fvb := fv_term(b, memo)):
+                y2 = fresh_name(y, rfv[0] | fvb | {x})
+                b = _subst_term(b, y, Var(y2), [None], memo)
+                return Lam(y2, s, _subst_term(b, x, r, rfv, memo))
+            b2 = _subst_term(b, x, r, rfv, memo)
+            return t if b2 is b else Lam(y, s, b2)
         case App(f, a):
-            return App(_subst_term(f, x, r, rfv), _subst_term(a, x, r, rfv))
+            f2, a2 = _subst_term(f, x, r, rfv, memo), _subst_term(a, x, r, rfv, memo)
+            return t if f2 is f and a2 is a else App(f2, a2)
         case Pair(a, b):
-            return Pair(_subst_term(a, x, r, rfv), _subst_term(b, x, r, rfv))
-        case Proj1(a):
-            return Proj1(_subst_term(a, x, r, rfv))
-        case Proj2(a):
-            return Proj2(_subst_term(a, x, r, rfv))
-        case Succ(a):
-            return Succ(_subst_term(a, x, r, rfv))
+            a2, b2 = _subst_term(a, x, r, rfv, memo), _subst_term(b, x, r, rfv, memo)
+            return t if a2 is a and b2 is b else Pair(a2, b2)
+        case Proj1(a) | Proj2(a) | Succ(a):
+            a2 = _subst_term(a, x, r, rfv, memo)
+            return t if a2 is a else type(t)(a2)
         case Rec(s, n, b, st):
-            return Rec(s, _subst_term(n, x, r, rfv), _subst_term(b, x, r, rfv),
-                       _subst_term(st, x, r, rfv))
+            n2, b2, st2 = (_subst_term(n, x, r, rfv, memo), _subst_term(b, x, r, rfv, memo),
+                           _subst_term(st, x, r, rfv, memo))
+            return t if n2 is n and b2 is b and st2 is st else Rec(s, n2, b2, st2)
         case _:
             return t
 
@@ -331,47 +360,63 @@ def is_prime(a: Formula) -> bool:
     return isinstance(a, (Bot, Eq0, PredApp))
 
 
-def fv_formula(a: Formula) -> frozenset:
+def fv_formula(a: Formula, memo: Optional[dict] = None) -> frozenset:
+    """Free variables of a formula; ``memo`` as in fv_term, shared by both."""
+    if memo is not None:
+        entry = memo.get(id(a))
+        if entry is not None:
+            return entry[1]
     match a:
         case Eq0(l, r):
-            return fv_term(l) | fv_term(r)
+            out = fv_term(l, memo) | fv_term(r, memo)
         case PredApp(_, args):
-            out: frozenset = frozenset()
+            out = _NO_NAMES
             for t in args:
-                out |= fv_term(t)
-            return out
+                out = out | fv_term(t, memo)
         case And(l, r) | Or(l, r) | Imp(l, r):
-            return fv_formula(l) | fv_formula(r)
+            out = fv_formula(l, memo) | fv_formula(r, memo)
         case Forall(x, _, b) | Exists(x, _, b):
-            return fv_formula(b) - {x}
+            out = fv_formula(b, memo) - {x}
         case _:
-            return frozenset()
+            return _NO_NAMES
+    if memo is not None:
+        memo[id(a)] = (a, out)
+    return out
 
 
-def subst_formula(a: Formula, x: str, r: Term) -> Formula:
-    """Capture-avoiding substitution A[x := r] over both quantifier binders."""
-    return _subst_formula(a, x, r, [None])
+def subst_formula(a: Formula, x: str, r: Term, memo: Optional[dict] = None) -> Formula:
+    """Capture-avoiding substitution A[x := r] over both quantifier binders;
+    an unchanged subformula is returned itself, and ``memo`` is as in
+    subst_term."""
+    return _subst_formula(a, x, r, [None], memo)
 
 
-def _subst_formula(a: Formula, x: str, r: Term, rfv: list) -> Formula:
+def _subst_formula(a: Formula, x: str, r: Term, rfv: list,
+                   memo: Optional[dict] = None) -> Formula:
     # rfv as in _subst_term
+    if memo is not None and x not in fv_formula(a, memo):
+        return a
     match a:
         case Eq0(l, rr):
-            return Eq0(_subst_term(l, x, r, rfv), _subst_term(rr, x, r, rfv))
+            l2, r2 = _subst_term(l, x, r, rfv, memo), _subst_term(rr, x, r, rfv, memo)
+            return a if l2 is l and r2 is rr else Eq0(l2, r2)
         case PredApp(p, args):
-            return PredApp(p, tuple(_subst_term(t, x, r, rfv) for t in args))
+            args2 = tuple([_subst_term(t, x, r, rfv, memo) for t in args])
+            return a if all(map(is_, args2, args)) else PredApp(p, args2)
         case And(l, rr) | Or(l, rr) | Imp(l, rr):
-            return type(a)(_subst_formula(l, x, r, rfv), _subst_formula(rr, x, r, rfv))
+            l2, r2 = _subst_formula(l, x, r, rfv, memo), _subst_formula(rr, x, r, rfv, memo)
+            return a if l2 is l and r2 is rr else type(a)(l2, r2)
         case Forall(y, s, b) | Exists(y, s, b):
             if y == x:
                 return a
             if rfv[0] is None:
                 rfv[0] = fv_term(r)
-            if y in rfv[0] and x in fv_formula(b):
-                y2 = fresh_name(y, rfv[0] | fv_formula(b) | {x})
-                b = subst_formula(b, y, Var(y2))
-                y = y2
-            return type(a)(y, s, _subst_formula(b, x, r, rfv))
+            if y in rfv[0] and x in (fvb := fv_formula(b, memo)):
+                y2 = fresh_name(y, rfv[0] | fvb | {x})
+                b = _subst_formula(b, y, Var(y2), [None], memo)
+                return type(a)(y2, s, _subst_formula(b, x, r, rfv, memo))
+            b2 = _subst_formula(b, x, r, rfv, memo)
+            return a if b2 is b else type(a)(y, s, b2)
         case _:
             return a
 
@@ -399,7 +444,9 @@ def _aeq_formula(a: Formula, b: Formula, ea, eb, n: int) -> bool:
 
 
 def alpha_eq_formula(a: Formula, b: Formula) -> bool:
-    return _aeq_formula(a, b, {}, {}, 0)
+    # one object is alpha-equal to itself; below the root the two sides may
+    # sit under binders of different names, so the test is made here only
+    return a is b or _aeq_formula(a, b, {}, {}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +628,6 @@ def _plan(cls, slots) -> tuple:
 
 
 _PLANS = {cls: _plan(cls, slots) for cls, slots in PROOF_SLOTS.items()}
-_NO_NAMES: frozenset = frozenset()
 
 
 def _free_names(p: ProofTerm, ns: str) -> frozenset:
@@ -750,17 +796,17 @@ def fv_proof_termvars(p: ProofTerm) -> frozenset:
     return _free_names(p, VAR)
 
 
-def node_termvars(p: ProofTerm) -> frozenset:
+def node_termvars(p: ProofTerm, memo: dict) -> frozenset:
     """Individual-variable names in the node p itself, not in its proof
-    children: the free variables of its term and formula slots and its
-    variable binders."""
+    children: the free variables of its term and formula slots (read
+    through ``memo``, as in fv_term) and its variable binders."""
     if type(p) is Hyp:
         return _NO_NAMES
     get, children, leaves = _PLANS[type(p)]
     vals = get(p)
     out = _NO_NAMES
     for i, leaf_fv, _, _ in leaves:
-        out = out | leaf_fv(vals[i])
+        out = out | leaf_fv(vals[i], memo)
     for _, binders in children:
         out = out | {vals[j] for j, kind in binders if kind == VAR}
     return out

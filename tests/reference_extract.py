@@ -1,8 +1,9 @@
 """The avoid-set collection that linear extraction in ``dnsk.extract``
 replaced: it recomputed the free variables of every goal and of every
 subject at each derivation node.  Kept verbatim as the oracle of
-``test_nbe.py``.  It feeds the current extractor, whose substitutions
-``test_nbe.py`` compares with the old ones on their own."""
+``test_nbe.py``.  It feeds the current extractor, with a free-variable memo
+of its own, and ``test_nbe.py`` compares the substitutions with the old
+ones on their own."""
 
 from __future__ import annotations
 
@@ -26,5 +27,5 @@ def extract_mr(derivation: Derivation, env: ExtractionEnv) -> Term:
     """Compile a control-free derivation into a realizer of its goal's sort."""
     avoid = set(env.hyp_realizers.values())
     _names_in(derivation, avoid)
-    ex = _Extractor(env, avoid)
+    ex = _Extractor(env, avoid, {})
     return ex.extract(derivation, {})

@@ -22,7 +22,7 @@ from dnsk.parser import parse_term
 from dnsk.syntax import (
     App, Arrow, BOT, Eq0, Exists, ExPair, Forall, Imp, Lam, NAT, Pair, PredApp, Prod,
     Proj1, Proj2, Rec, STAR, Succ, UNIT, Var, ZERO, alpha_eq_term,
-    contains_control, subst_formula, subst_term,
+    contains_control, fv_formula, fv_term, subst_formula, subst_term,
 )
 from dnsk.theorems import LIBRARY_SIGNATURE, build_library
 from dnsk.typecheck import Annotation, Context, check_proof, infer_term_type
@@ -138,6 +138,29 @@ def test_substitutions_match_the_old_ones():
         assert subst_term(t, x, r) == ref_syntax.subst_term(t, x, r)
         a = gen_raw_formula(rng, 3)
         assert subst_formula(a, x, r) == ref_syntax.subst_formula(a, x, r)
+
+
+def test_substitutions_through_a_shared_memo_match():
+    # one free-variable memo across many calls, as check_proof and
+    # extract_mr keep one: results are substituted into again, so renamed
+    # bodies and results are read from the memo too
+    rng = random.Random(83)
+    memo: dict = {}
+    terms = [gen_raw_term(rng, 4) for _ in range(200)]
+    formulas = [gen_raw_formula(rng, 3) for _ in range(200)]
+    for _ in range(2000):
+        x = rng.choice(("x", "x1", "y"))
+        r = gen_raw_term(rng, 2)
+        t, a = rng.choice(terms), rng.choice(formulas)
+        new_t, new_a = subst_term(t, x, r, memo), subst_formula(a, x, r, memo)
+        assert new_t == ref_syntax.subst_term(t, x, r)
+        assert new_a == ref_syntax.subst_formula(a, x, r)
+        assert fv_term(new_t, memo) == fv_term(new_t)
+        assert fv_formula(new_a, memo) == fv_formula(new_a)
+        assert (new_t is t) == (x not in fv_term(t))
+        assert (new_a is a) == (x not in fv_formula(a))
+        terms.append(new_t)
+        formulas.append(new_a)
 
 
 def _renamed_builder(rng):

@@ -3,12 +3,13 @@
 import random
 
 from dnsk.syntax import (
-    App, Eq0, Exists, Forall, Hyp, Imp, Lam, NAT, Pair, PLam, PredApp, Shift,
-    Succ, TLam, Var, ZERO, alpha_eq_formula, alpha_eq_proof, alpha_eq_term,
+    And, App, Ascribe, Eq0, Exists, Forall, Hyp, Imp, Lam, NAT, Pair, PLam, PredApp,
+    Shift, Succ, TLam, Var, ZERO, alpha_eq_formula, alpha_eq_proof, alpha_eq_term,
     contains_control, contains_shift, fresh_name, fv_formula, fv_proof_hyps,
     fv_proof_termvars, fv_term, neg, numeral, numeral_value, subst_formula,
-    subst_term,
+    subst_proof_term, subst_term,
 )
+from dnsk.theorems import build_library
 from conftest import random_formula
 
 
@@ -45,6 +46,37 @@ def test_alpha_eq_formula():
     b = Forall("z", NAT, PredApp("P", (Var("z"),)))
     assert alpha_eq_formula(a, b)
     assert not alpha_eq_formula(a, Forall("x", NAT, PredApp("P", (Var("y"),))))
+
+
+def test_alpha_eq_formula_identity_is_not_taken_below_binders():
+    # the same P(x) object under binders of different names: equal objects,
+    # but x is bound on one side and free on the other
+    body = PredApp("P", (Var("x"),))
+    for quant in (Forall, Exists):
+        assert not alpha_eq_formula(quant("x", NAT, body), quant("y", NAT, body))
+        assert not alpha_eq_formula(quant("y", NAT, body), quant("x", NAT, body))
+        assert alpha_eq_formula(quant("x", NAT, body), quant("x", NAT, body))
+        a = quant("x", NAT, Imp(body, body))
+        assert alpha_eq_formula(a, a)
+
+
+def test_substitutions_return_what_they_do_not_change():
+    p = Ascribe(Hyp("a"), PredApp("P", (Var("x"),)))
+    assert subst_proof_term(p, "zz", Var("b")) is p
+    for e in build_library():
+        assert subst_proof_term(e.proof, "zz", Var("b")) is e.proof, e.name
+    t = Lam("y", NAT, App(Var("y"), Pair(Succ(Var("x")), ZERO)))
+    a = Forall("y", NAT, Imp(Eq0(Var("y"), Var("x")), PredApp("P", (Var("x"), ZERO))))
+    for memo in (None, {}):
+        for x in ("zz", "y"):  # not occurring, and only bound
+            assert subst_term(t, x, Var("b"), memo) is t
+            assert subst_formula(a, x, Var("b"), memo) is a
+        # a changed node keeps its unchanged children
+        c = And(PredApp("P", (Var("y"),)), a)
+        out = subst_formula(c, "y", Var("b"), memo)
+        assert out == And(PredApp("P", (Var("b"),)), a) and out.right is a
+        out = subst_term(App(Var("y"), t), "y", Var("b"), memo)
+        assert out == App(Var("b"), t) and out.arg is t
 
 
 def test_alpha_eq_proof():

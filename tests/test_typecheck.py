@@ -1,11 +1,12 @@
 """The annotated natural-deduction checker."""
 
 import random
+import time
 
 import pytest
 
 from dnsk.parser import parse_formula, parse_proof, parse_term, parse_type
-from dnsk.syntax import BOT, NAT, Signature, Var
+from dnsk.syntax import BOT, NAT, Forall, Hyp, Imp, PLam, PredApp, Signature, TLam, Var
 from dnsk.typecheck import (
     Annotation, Context, SortError, check_proof, infer_term_type, wf_formula,
 )
@@ -129,3 +130,29 @@ def test_generated_derivations_check(seed=11, n=60):
         ctx = Context({}, hyps)
         report = check_proof(SIG, ctx, Annotation.PLAIN, proof, goal)
         assert report.ok, report.error
+
+
+def test_binder_ladder_does_not_rewalk_the_context():
+    # tfun x0 => fun h0 => tfun x1 => ... against
+    # forall x0. P(x0) -> forall x1. P(x1) -> ... -> bot: the context grows
+    # by one hypothesis per level, and each tfun's freshness test must cost
+    # time in the hypothesis its binder adds, not in the whole context
+    def ladder(n):
+        goal, proof = BOT, Hyp("b")
+        for i in reversed(range(n)):
+            goal = Forall(f"x{i}", NAT, Imp(PredApp("P", (Var(f"x{i}"),)), goal))
+            proof = TLam(f"x{i}", PLam(f"h{i}", proof))
+        return goal, proof
+
+    ctx = Context({}, {"b": BOT})
+    cases = {n: ladder(n) for n in (60, 120, 240)}
+    best = dict.fromkeys(cases, float("inf"))
+    for _ in range(7):  # sizes interleaved, so a slow spell hits all of them
+        for n, (goal, proof) in cases.items():
+            start = time.perf_counter()
+            report = check_proof(SIG, ctx, Annotation.PLAIN, proof, goal)
+            best[n] = min(best[n], time.perf_counter() - start)
+            assert report.ok, report.error
+    # the context and path copies per level stay quadratic, hence not 2x
+    t60, t120, t240 = best.values()
+    assert t120 <= 4 * t60 and t240 <= 4 * t120, best
