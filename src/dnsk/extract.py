@@ -7,13 +7,12 @@ axiom hypotheses) through an ExtractionEnv.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .syntax import (
     App, Arrow, Forall, Formula, Imp, KernelError, Lam, NAT, Or, Pair, Prod,
-    Proj1, Proj2, Rec, SimpleType, STAR, Succ, Term, Unit, Var, ZERO,
-    fresh_name, fv_formula, fv_term, node_termvars, subst_term,
+    Proj1, Proj2, Rec, Record, SimpleType, STAR, Succ, Term, Unit, Var, ZERO,
+    fresh_name, fv_formula, fv_term, node_termvars, slot_setters, subst_term,
 )
 from .translate import mr_type
 from .typecheck import Derivation
@@ -25,17 +24,25 @@ class ExtractionError(KernelError):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class ExtractionEnv:
+class ExtractionEnv(Record):
     """Realizers for the open hypotheses of a derivation.
 
     hyp_realizers maps a hypothesis name to the term variable standing for
     its realizer; axiom_realizers maps an axiom-instance name to a closed
     realizer term; names in unrealizable are rejected outright when used."""
 
-    hyp_realizers: Mapping[str, str] = field(default_factory=dict)
-    axiom_realizers: Mapping[str, Term] = field(default_factory=dict)
-    unrealizable: frozenset = frozenset()
+    __slots__ = ("hyp_realizers", "axiom_realizers", "unrealizable")
+
+    def __init__(self, hyp_realizers: Optional[Mapping[str, str]] = None,
+                 axiom_realizers: Optional[Mapping[str, Term]] = None,
+                 unrealizable: frozenset = frozenset()):
+        _ExtractionEnv_hyp_realizers(self, {} if hyp_realizers is None else hyp_realizers)
+        _ExtractionEnv_axiom_realizers(self, {} if axiom_realizers is None else axiom_realizers)
+        _ExtractionEnv_unrealizable(self, unrealizable)
+
+
+(_ExtractionEnv_hyp_realizers, _ExtractionEnv_axiom_realizers,
+ _ExtractionEnv_unrealizable) = slot_setters(ExtractionEnv)
 
 
 def dummy(sort: SimpleType) -> Term:
@@ -61,11 +68,15 @@ def _cond(sort: SimpleType, flag: Term, if_zero: Term, if_nonzero: Term) -> Term
 class _Extractor:
     """One extract_mr call.  ``memo`` holds the free variables of every
     formula and term node read (see syntax.fv_term), so a substitution into
-    a realizer enters only the subterms in which its variable occurs."""
+    a realizer enters only the subterms in which its variable occurs.
+    ``sorts`` is the memo of realizer sorts by formula identity (see
+    translate.mr_type), so goals that share subformulas compute their
+    sorts once."""
 
     def __init__(self, env: ExtractionEnv, avoid, memo: dict):
         self.env = env
         self.memo = memo
+        self.sorts: dict = {}
         self.avoid = set(avoid)
         for t in env.axiom_realizers.values():
             self.avoid |= fv_term(t)
@@ -103,11 +114,13 @@ class _Extractor:
             case "or_i1":
                 assert isinstance(goal, Or)
                 return Pair(
-                    Pair(self.extract(kids[0], local), dummy(mr_type(goal.right))), ZERO)
+                    Pair(self.extract(kids[0], local), dummy(mr_type(goal.right, self.sorts))),
+                    ZERO)
             case "or_i2":
                 assert isinstance(goal, Or)
                 return Pair(
-                    Pair(dummy(mr_type(goal.left)), self.extract(kids[0], local)), Succ(ZERO))
+                    Pair(dummy(mr_type(goal.left, self.sorts)), self.extract(kids[0], local)),
+                    Succ(ZERO))
             case "or_e":
                 s = self.extract(kids[0], local)
                 case_node = d.subject
@@ -117,13 +130,13 @@ class _Extractor:
                 right = self.extract(kids[2], {**local, case_node.right_name: v2})
                 left = subst_term(left, v1, Proj1(Proj1(s)), self.memo)
                 right = subst_term(right, v2, Proj2(Proj1(s)), self.memo)
-                return _cond(mr_type(goal), Proj2(s), left, right)
+                return _cond(mr_type(goal, self.sorts), Proj2(s), left, right)
             case "imp_i":
                 assert isinstance(goal, Imp)
                 a = d.subject.hyp
                 v = self.fresh("r")
                 body = self.extract(kids[0], {**local, a: v})
-                return Lam(v, mr_type(goal.left), body)
+                return Lam(v, mr_type(goal.left, self.sorts), body)
             case "imp_e":
                 return App(self.extract(kids[0], local), self.extract(kids[1], local))
             case "forall_i":
@@ -143,7 +156,7 @@ class _Extractor:
                 body = subst_term(body, node.var, Proj2(s), self.memo)
                 return body
             case "bot_e":
-                return dummy(mr_type(goal))
+                return dummy(mr_type(goal, self.sorts))
             case "ascribe":
                 return self.extract(kids[0], local)
             case "reset" | "shift":

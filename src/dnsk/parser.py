@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .syntax import (
     And, App, Arrow, Ascribe, BOT, Case, Dest, Efq, Eq0, ExPair, Exists,
     Forall, Formula, Fst, Hyp, Imp, Inl, Inr, KernelError, Lam, NAT, Or,
     Pair, PApp, PLam, PPair, PredApp, ProofTerm, Proj1, Proj2, Prod, Rec,
-    Reset, Shift, SimpleType, Snd, STAR, Succ, Term, TApp, TLam, UNIT,
+    Record, Reset, Shift, SimpleType, Snd, STAR, Succ, Term, TApp, TLam, UNIT,
     Var, ZERO, neg,
 )
 
@@ -441,50 +440,74 @@ def parse(src: str, what: str):
 # Source files (.dnsk)
 
 
-@dataclass
-class PredDecl:
-    name: str
-    sorts: tuple
+class _Decl(Record):
+    """A parsed declaration: a record whose fields can be assigned, and
+    which is therefore not hashable."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
 
-@dataclass
-class FormulaDecl:
-    name: str
-    formula: Formula
+class PredDecl(_Decl):
+    __slots__ = ("name", "sorts")
+
+    def __init__(self, name: str, sorts: tuple):
+        self.name = name
+        self.sorts = sorts
 
 
-@dataclass
-class AxiomDecl:
-    name: str
-    formula: Formula
-    realizer: Optional[Term] = None
+class FormulaDecl(_Decl):
+    __slots__ = ("name", "formula")
+
+    def __init__(self, name: str, formula: Formula):
+        self.name = name
+        self.formula = formula
 
 
-@dataclass
-class ProofDecl:
-    name: str
-    annotation: str  # 'plain' or 'bot'
-    goal: Formula
-    proof: ProofTerm
+class AxiomDecl(_Decl):
+    __slots__ = ("name", "formula", "realizer")
+
+    def __init__(self, name: str, formula: Formula, realizer: Optional[Term] = None):
+        self.name = name
+        self.formula = formula
+        self.realizer = realizer
 
 
-@dataclass
-class TermDecl:
-    name: str
-    sort: SimpleType
-    term: Term
+class ProofDecl(_Decl):
+    __slots__ = ("name", "annotation", "goal", "proof")
+
+    def __init__(self, name: str, annotation: str, goal: Formula, proof: ProofTerm):
+        self.name = name
+        self.annotation = annotation  # 'plain' or 'bot'
+        self.goal = goal
+        self.proof = proof
 
 
-@dataclass
-class Directive:
-    kind: str  # 'check' | 'translate' | 'extract' | 'eval'
-    name: str
-    mode: Optional[str] = None
+class TermDecl(_Decl):
+    __slots__ = ("name", "sort", "term")
+
+    def __init__(self, name: str, sort: SimpleType, term: Term):
+        self.name = name
+        self.sort = sort
+        self.term = term
 
 
-@dataclass
-class SourceFile:
-    decls: list = field(default_factory=list)
+class Directive(_Decl):
+    __slots__ = ("kind", "name", "mode")
+
+    def __init__(self, kind: str, name: str, mode: Optional[str] = None):
+        self.kind = kind  # 'check' | 'translate' | 'extract' | 'eval'
+        self.name = name
+        self.mode = mode
+
+
+class SourceFile(_Decl):
+    __slots__ = ("decls",)
+
+    def __init__(self, decls: Optional[list] = None):
+        self.decls = [] if decls is None else decls
 
     def of_type(self, cls):
         return [d for d in self.decls if isinstance(d, cls)]

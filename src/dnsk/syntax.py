@@ -1,9 +1,11 @@
 """Abstract syntax: sorts, individual terms, formulas, proof terms.
 
-All nodes are immutable (frozen dataclasses), so structural equality and
-hashing come for free; only Succ defines its own, which walk a numeral's
-chain in a loop.  Alpha-equivalence and capture-avoiding substitution
-are provided as functions over the named representation.
+All nodes are immutable records (see Record): two nodes are equal when
+they are of one class and their fields are equal, and a node hashes its
+fields.  Succ and PApp define their own equality and hash, which walk a
+numeral's chain or an application's argument chain in a loop.
+Alpha-equivalence and capture-avoiding substitution are provided as
+functions over the named representation.
 
 Terms and formulas are traversed by hand.  A substitution returns a node
 itself when nothing in it changed, so untouched subtrees stay shared.
@@ -24,7 +26,6 @@ Python stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from operator import attrgetter, is_
 from typing import Mapping, Optional, Union
 
@@ -34,31 +35,107 @@ class KernelError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+
+class Record:
+    """Base of the kernel's immutable records: the syntax nodes, and the data
+    of the checker, translations, extractor and library (the parser's
+    declarations subclass it too, but stay assignable).
+
+    A subclass names its fields, in order, in ``__slots__`` and fills them
+    in its own ``__init__`` through the slots' descriptors (slot_setters),
+    the cheapest way to fill a slot that ``__setattr__`` refuses.  From the
+    names the base derives what a frozen dataclass would have: positional
+    ``__match_args__``, the same ``repr`` text, equality between records of
+    one class, a hash over the fields, and pickling and copying through the
+    constructor.  No code is generated per class, so defining one costs
+    next to nothing at import.  ``__dataclass_fields__`` maps the same
+    names, in order, for code that walks any node by its fields;
+    ``dataclasses.fields``, ``replace`` and ``asdict`` do not apply."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = cls.__slots__
+        cls.__match_args__ = names
+        cls.__dataclass_fields__ = dict.fromkeys(names)
+        # the field values of a record as a tuple
+        if len(names) > 1:
+            values = attrgetter(*names)
+        elif names:
+            values = lambda r, get=attrgetter(names[0]): (get(r),)
+        else:
+            values = lambda r: ()
+        cls._values = staticmethod(values)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{n}={v!r}" for n, v in zip(self.__match_args__, self._values(self))])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+
+def slot_setters(cls) -> list:
+    """The ``__set__`` of each of cls's slot descriptors, in field order."""
+    return [getattr(cls, name).__set__ for name in cls.__slots__]
+
+
+# ---------------------------------------------------------------------------
 # Sorts
 
 
-@dataclass(frozen=True)
-class Nat:
+class Nat(Record):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "nat"
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(Record):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "unit"
 
 
-@dataclass(frozen=True)
-class Arrow:
-    dom: "SimpleType"
-    cod: "SimpleType"
+class Arrow(Record):
+    __slots__ = ("dom", "cod")
+
+    def __init__(self, dom: SimpleType, cod: SimpleType):
+        _Arrow_dom(self, dom)
+        _Arrow_cod(self, cod)
 
 
-@dataclass(frozen=True)
-class Prod:
-    left: "SimpleType"
-    right: "SimpleType"
+_Arrow_dom, _Arrow_cod = slot_setters(Arrow)
+
+
+class Prod(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: SimpleType, right: SimpleType):
+        _Prod_left(self, left)
+        _Prod_right(self, right)
+
+
+_Prod_left, _Prod_right = slot_setters(Prod)
 
 
 SimpleType = Union[Nat, Unit, Arrow, Prod]
@@ -71,56 +148,86 @@ UNIT = Unit()
 # Terms (individuals of the quantification domain)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _Var_name(self, name)
 
 
-@dataclass(frozen=True)
-class Lam:
-    var: str
-    sort: SimpleType
-    body: "Term"
+[_Var_name] = slot_setters(Var)
 
 
-@dataclass(frozen=True)
-class App:
-    fn: "Term"
-    arg: "Term"
+class Lam(Record):
+    __slots__ = ("var", "sort", "body")
+
+    def __init__(self, var: str, sort: SimpleType, body: Term):
+        _Lam_var(self, var)
+        _Lam_sort(self, sort)
+        _Lam_body(self, body)
 
 
-@dataclass(frozen=True)
-class Pair:
-    fst: "Term"
-    snd: "Term"
+_Lam_var, _Lam_sort, _Lam_body = slot_setters(Lam)
 
 
-@dataclass(frozen=True)
-class Proj1:
-    arg: "Term"
+class App(Record):
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: Term, arg: Term):
+        _App_fn(self, fn)
+        _App_arg(self, arg)
 
 
-@dataclass(frozen=True)
-class Proj2:
-    arg: "Term"
+_App_fn, _App_arg = slot_setters(App)
 
 
-@dataclass(frozen=True)
-class Star:
-    pass
+class Pair(Record):
+    __slots__ = ("fst", "snd")
+
+    def __init__(self, fst: Term, snd: Term):
+        _Pair_fst(self, fst)
+        _Pair_snd(self, snd)
 
 
-@dataclass(frozen=True)
-class Zero:
-    pass
+_Pair_fst, _Pair_snd = slot_setters(Pair)
 
 
-@dataclass(frozen=True)
-class Succ:
-    arg: "Term"
+class Proj1(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Term):
+        _Proj1_arg(self, arg)
+
+
+[_Proj1_arg] = slot_setters(Proj1)
+
+
+class Proj2(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Term):
+        _Proj2_arg(self, arg)
+
+
+[_Proj2_arg] = slot_setters(Proj2)
+
+
+class Star(Record):
+    __slots__ = ()
+
+
+class Zero(Record):
+    __slots__ = ()
+
+
+class Succ(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Term):
+        _Succ_arg(self, arg)
 
     # a numeral nests one Succ per unit, deeper than the Python stack allows
-    # the generated recursive __eq__ and __hash__, so these walk the chain
+    # Record's recursive __eq__ and __hash__, so these walk the chain
     def __eq__(self, other):
         if other.__class__ is not Succ:
             return NotImplemented
@@ -139,12 +246,20 @@ class Succ:
         return hash((k, t))
 
 
-@dataclass(frozen=True)
-class Rec:
-    sort: SimpleType
-    scrut: "Term"
-    base: "Term"
-    step: "Term"
+[_Succ_arg] = slot_setters(Succ)
+
+
+class Rec(Record):
+    __slots__ = ("sort", "scrut", "base", "step")
+
+    def __init__(self, sort: SimpleType, scrut: Term, base: Term, step: Term):
+        _Rec_sort(self, sort)
+        _Rec_scrut(self, scrut)
+        _Rec_base(self, base)
+        _Rec_step(self, step)
+
+
+_Rec_sort, _Rec_scrut, _Rec_base, _Rec_step = slot_setters(Rec)
 
 
 Term = Union[Var, Lam, App, Pair, Proj1, Proj2, Star, Zero, Succ, Rec]
@@ -297,53 +412,87 @@ def alpha_eq_term(a: Term, b: Term) -> bool:
 # Formulas
 
 
-@dataclass(frozen=True)
-class Bot:
-    pass
+class Bot(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Eq0:
-    lhs: Term
-    rhs: Term
+class Eq0(Record):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Term, rhs: Term):
+        _Eq0_lhs(self, lhs)
+        _Eq0_rhs(self, rhs)
 
 
-@dataclass(frozen=True)
-class PredApp:
-    sym: str
-    args: tuple
+_Eq0_lhs, _Eq0_rhs = slot_setters(Eq0)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class PredApp(Record):
+    __slots__ = ("sym", "args")
+
+    def __init__(self, sym: str, args: tuple):
+        _PredApp_sym(self, sym)
+        _PredApp_args(self, args)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+_PredApp_sym, _PredApp_args = slot_setters(PredApp)
 
 
-@dataclass(frozen=True)
-class Imp:
-    left: "Formula"
-    right: "Formula"
+class And(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _And_left(self, left)
+        _And_right(self, right)
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    sort: SimpleType
-    body: "Formula"
+_And_left, _And_right = slot_setters(And)
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    sort: SimpleType
-    body: "Formula"
+class Or(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _Or_left(self, left)
+        _Or_right(self, right)
+
+
+_Or_left, _Or_right = slot_setters(Or)
+
+
+class Imp(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _Imp_left(self, left)
+        _Imp_right(self, right)
+
+
+_Imp_left, _Imp_right = slot_setters(Imp)
+
+
+class Forall(Record):
+    __slots__ = ("var", "sort", "body")
+
+    def __init__(self, var: str, sort: SimpleType, body: Formula):
+        _Forall_var(self, var)
+        _Forall_sort(self, sort)
+        _Forall_body(self, body)
+
+
+_Forall_var, _Forall_sort, _Forall_body = slot_setters(Forall)
+
+
+class Exists(Record):
+    __slots__ = ("var", "sort", "body")
+
+    def __init__(self, var: str, sort: SimpleType, body: Formula):
+        _Exists_var(self, var)
+        _Exists_sort(self, sort)
+        _Exists_body(self, body)
+
+
+_Exists_var, _Exists_sort, _Exists_body = slot_setters(Exists)
 
 
 Formula = Union[Bot, Eq0, PredApp, And, Or, Imp, Forall, Exists]
@@ -453,60 +602,103 @@ def alpha_eq_formula(a: Formula, b: Formula) -> bool:
 # Proof terms
 
 
-@dataclass(frozen=True)
-class Hyp:
-    name: str
+class Hyp(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _Hyp_name(self, name)
 
 
-@dataclass(frozen=True)
-class PPair:
-    fst: "ProofTerm"
-    snd: "ProofTerm"
+[_Hyp_name] = slot_setters(Hyp)
 
 
-@dataclass(frozen=True)
-class Fst:
-    arg: "ProofTerm"
+class PPair(Record):
+    __slots__ = ("fst", "snd")
+
+    def __init__(self, fst: ProofTerm, snd: ProofTerm):
+        _PPair_fst(self, fst)
+        _PPair_snd(self, snd)
 
 
-@dataclass(frozen=True)
-class Snd:
-    arg: "ProofTerm"
+_PPair_fst, _PPair_snd = slot_setters(PPair)
 
 
-@dataclass(frozen=True)
-class Inl:
-    arg: "ProofTerm"
+class Fst(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: ProofTerm):
+        _Fst_arg(self, arg)
 
 
-@dataclass(frozen=True)
-class Inr:
-    arg: "ProofTerm"
+[_Fst_arg] = slot_setters(Fst)
 
 
-@dataclass(frozen=True)
-class Case:
-    scrut: "ProofTerm"
-    left_name: str
-    left: "ProofTerm"
-    right_name: str
-    right: "ProofTerm"
+class Snd(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: ProofTerm):
+        _Snd_arg(self, arg)
 
 
-@dataclass(frozen=True)
-class PLam:
-    hyp: str
-    body: "ProofTerm"
+[_Snd_arg] = slot_setters(Snd)
 
 
-@dataclass(frozen=True)
-class PApp:
-    fn: "ProofTerm"
-    arg: "ProofTerm"
+class Inl(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: ProofTerm):
+        _Inl_arg(self, arg)
+
+
+[_Inl_arg] = slot_setters(Inl)
+
+
+class Inr(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: ProofTerm):
+        _Inr_arg(self, arg)
+
+
+[_Inr_arg] = slot_setters(Inr)
+
+
+class Case(Record):
+    __slots__ = ("scrut", "left_name", "left", "right_name", "right")
+
+    def __init__(self, scrut: ProofTerm, left_name: str, left: ProofTerm, right_name: str,
+                 right: ProofTerm):
+        _Case_scrut(self, scrut)
+        _Case_left_name(self, left_name)
+        _Case_left(self, left)
+        _Case_right_name(self, right_name)
+        _Case_right(self, right)
+
+
+_Case_scrut, _Case_left_name, _Case_left, _Case_right_name, _Case_right = slot_setters(Case)
+
+
+class PLam(Record):
+    __slots__ = ("hyp", "body")
+
+    def __init__(self, hyp: str, body: ProofTerm):
+        _PLam_hyp(self, hyp)
+        _PLam_body(self, body)
+
+
+_PLam_hyp, _PLam_body = slot_setters(PLam)
+
+
+class PApp(Record):
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: ProofTerm, arg: ProofTerm):
+        _PApp_fn(self, fn)
+        _PApp_arg(self, arg)
 
     # normal forms such as f (g (... a)) nest one PApp per application in
-    # the argument, deeper than the Python stack allows the generated
-    # recursive __eq__ and __hash__, so these walk the arg chain as Succ does
+    # the argument, deeper than the Python stack allows Record's recursive
+    # __eq__ and __hash__, so these walk the arg chain as Succ does
     def __eq__(self, other):
         if other.__class__ is not PApp:
             return NotImplemented
@@ -527,52 +719,95 @@ class PApp:
         return hash((tuple(fns), t))
 
 
-@dataclass(frozen=True)
-class TLam:
-    var: str
-    body: "ProofTerm"
+_PApp_fn, _PApp_arg = slot_setters(PApp)
 
 
-@dataclass(frozen=True)
-class TApp:
-    fn: "ProofTerm"
-    arg: Term
+class TLam(Record):
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: ProofTerm):
+        _TLam_var(self, var)
+        _TLam_body(self, body)
 
 
-@dataclass(frozen=True)
-class ExPair:
-    witness: Term
-    body: "ProofTerm"
+_TLam_var, _TLam_body = slot_setters(TLam)
 
 
-@dataclass(frozen=True)
-class Dest:
-    scrut: "ProofTerm"
-    var: str
-    hyp: str
-    body: "ProofTerm"
+class TApp(Record):
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: ProofTerm, arg: Term):
+        _TApp_fn(self, fn)
+        _TApp_arg(self, arg)
 
 
-@dataclass(frozen=True)
-class Efq:
-    arg: "ProofTerm"
+_TApp_fn, _TApp_arg = slot_setters(TApp)
 
 
-@dataclass(frozen=True)
-class Reset:
-    body: "ProofTerm"
+class ExPair(Record):
+    __slots__ = ("witness", "body")
+
+    def __init__(self, witness: Term, body: ProofTerm):
+        _ExPair_witness(self, witness)
+        _ExPair_body(self, body)
 
 
-@dataclass(frozen=True)
-class Shift:
-    hyp: str
-    body: "ProofTerm"
+_ExPair_witness, _ExPair_body = slot_setters(ExPair)
 
 
-@dataclass(frozen=True)
-class Ascribe:
-    body: "ProofTerm"
-    formula: Formula
+class Dest(Record):
+    __slots__ = ("scrut", "var", "hyp", "body")
+
+    def __init__(self, scrut: ProofTerm, var: str, hyp: str, body: ProofTerm):
+        _Dest_scrut(self, scrut)
+        _Dest_var(self, var)
+        _Dest_hyp(self, hyp)
+        _Dest_body(self, body)
+
+
+_Dest_scrut, _Dest_var, _Dest_hyp, _Dest_body = slot_setters(Dest)
+
+
+class Efq(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: ProofTerm):
+        _Efq_arg(self, arg)
+
+
+[_Efq_arg] = slot_setters(Efq)
+
+
+class Reset(Record):
+    __slots__ = ("body",)
+
+    def __init__(self, body: ProofTerm):
+        _Reset_body(self, body)
+
+
+[_Reset_body] = slot_setters(Reset)
+
+
+class Shift(Record):
+    __slots__ = ("hyp", "body")
+
+    def __init__(self, hyp: str, body: ProofTerm):
+        _Shift_hyp(self, hyp)
+        _Shift_body(self, body)
+
+
+_Shift_hyp, _Shift_body = slot_setters(Shift)
+
+
+class Ascribe(Record):
+    __slots__ = ("body", "formula")
+
+    def __init__(self, body: ProofTerm, formula: Formula):
+        _Ascribe_body(self, body)
+        _Ascribe_formula(self, formula)
+
+
+_Ascribe_body, _Ascribe_formula = slot_setters(Ascribe)
 
 
 ProofTerm = Union[
@@ -613,8 +848,6 @@ def _plan(cls, slots) -> tuple:
     """What a traversal reads of one constructor: a getter of all its fields,
     each proof slot's index with the (index, kind) of the binders scoping
     over it, and each term or formula slot's index with its _LEAF_OPS."""
-    names = [f.name for f in fields(cls)]
-    get = attrgetter(*names) if len(names) > 1 else (lambda p, n=names[0]: (getattr(p, n),))
     children, leaves, binders = [], [], []
     for i, kind in enumerate(slots):
         if kind == PROOF:
@@ -624,7 +857,7 @@ def _plan(cls, slots) -> tuple:
             leaves.append((i, *_LEAF_OPS[kind]))
         else:
             binders.append((i, kind))
-    return get, tuple(children), tuple(leaves)
+    return cls._values, tuple(children), tuple(leaves)
 
 
 _PLANS = {cls: _plan(cls, slots) for cls, slots in PROOF_SLOTS.items()}
@@ -841,11 +1074,16 @@ def contains_shift(p: ProofTerm, memo: Optional[dict] = None) -> bool:
 # Signatures
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Declared predicate symbols and their argument sorts."""
 
-    predicates: Mapping[str, tuple]
+    __slots__ = ("predicates",)
+
+    def __init__(self, predicates: Mapping[str, tuple]):
+        _Signature_predicates(self, predicates)
 
     def arity(self, sym: str):
         return self.predicates.get(sym)
+
+
+[_Signature_predicates] = slot_setters(Signature)

@@ -4,15 +4,14 @@ derivations as named hypotheses."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .parser import parse_formula, parse_proof
 from .syntax import (
     And, App, Arrow, BOT, Eq0, Exists, Forall, Formula, Imp, KernelError, NAT,
-    ProofTerm, Signature, SimpleType, STAR, Succ, Term, Var, ZERO, neg,
-    subst_formula,
+    ProofTerm, Record, Signature, SimpleType, STAR, Succ, Term, Var, ZERO, neg,
+    slot_setters, subst_formula,
 )
 from .typecheck import Annotation, CheckReport, Context, check_proof
 
@@ -104,19 +103,30 @@ def axiom_instance(schema: str, **kw) -> Formula:
 # The library
 
 
-@dataclass(frozen=True)
-class TheoremEntry:
-    name: str
-    context: Context
-    annotation: Annotation
-    proof: ProofTerm
-    goal: Formula
-    description: str
-    axiom_realizers: Mapping[str, Term] = field(default_factory=dict)
-    unrealizable: frozenset = frozenset()
+class TheoremEntry(Record):
+    __slots__ = ("name", "context", "annotation", "proof", "goal", "description",
+                 "axiom_realizers", "unrealizable")
+
+    def __init__(self, name: str, context: Context, annotation: Annotation, proof: ProofTerm,
+                 goal: Formula, description: str,
+                 axiom_realizers: Optional[Mapping[str, Term]] = None,
+                 unrealizable: frozenset = frozenset()):
+        _TheoremEntry_name(self, name)
+        _TheoremEntry_context(self, context)
+        _TheoremEntry_annotation(self, annotation)
+        _TheoremEntry_proof(self, proof)
+        _TheoremEntry_goal(self, goal)
+        _TheoremEntry_description(self, description)
+        _TheoremEntry_axiom_realizers(self, {} if axiom_realizers is None else axiom_realizers)
+        _TheoremEntry_unrealizable(self, unrealizable)
 
     def check(self, sig: Signature = LIBRARY_SIGNATURE) -> CheckReport:
         return check_proof(sig, self.context, self.annotation, self.proof, self.goal)
+
+
+(_TheoremEntry_name, _TheoremEntry_context, _TheoremEntry_annotation, _TheoremEntry_proof,
+ _TheoremEntry_goal, _TheoremEntry_description, _TheoremEntry_axiom_realizers,
+ _TheoremEntry_unrealizable) = slot_setters(TheoremEntry)
 
 
 def _ctx(**hyps: str) -> Context:

@@ -8,14 +8,13 @@ double-negation simplification and the universally quantified target form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .printer import print_type
 from .syntax import (
     And, App, Arrow, Eq0, Exists, Forall, Formula, Imp, KernelError, NAT, Or,
-    Prod, Proj1, Proj2, Signature, SimpleType, Term, UNIT, Var, ZERO,
-    fresh_name, fv_formula, fv_term, is_prime, neg, subst_formula,
+    Prod, Proj1, Proj2, Record, Signature, SimpleType, Term, UNIT, Var, ZERO,
+    fresh_name, fv_formula, fv_term, is_prime, neg, slot_setters, subst_formula,
 )
 from .typecheck import SortError, infer_term_type
 
@@ -58,22 +57,33 @@ def kuroda(a: Formula) -> Formula:
 # Realizability: sort assignment and formula translation
 
 
-def mr_type(a: Formula) -> SimpleType:
-    """Realizer sort; depends only on the logical skeleton of the formula."""
+def mr_type(a: Formula, memo: Optional[dict] = None) -> SimpleType:
+    """Realizer sort; depends only on the logical skeleton of the formula.
+    ``memo``, kept by a caller for the length of one call, maps id(node) to
+    (node, sort) for every subformula whose sort was computed (the node is
+    held so that its id is not reused), as in syntax.fv_term."""
+    if memo is not None:
+        entry = memo.get(id(a))
+        if entry is not None:
+            return entry[1]
     match a:
         case _ if is_prime(a):
             return UNIT
         case And(l, r):
-            return Prod(mr_type(l), mr_type(r))
+            out = Prod(mr_type(l, memo), mr_type(r, memo))
         case Or(l, r):
-            return Prod(Prod(mr_type(l), mr_type(r)), NAT)
+            out = Prod(Prod(mr_type(l, memo), mr_type(r, memo)), NAT)
         case Imp(l, r):
-            return Arrow(mr_type(l), mr_type(r))
+            out = Arrow(mr_type(l, memo), mr_type(r, memo))
         case Exists(_, s, b):
-            return Prod(mr_type(b), s)
+            out = Prod(mr_type(b, memo), s)
         case Forall(_, s, b):
-            return Arrow(s, mr_type(b))
-    raise TypeError(f"not a formula: {a!r}")
+            out = Arrow(s, mr_type(b, memo))
+        case _:
+            raise TypeError(f"not a formula: {a!r}")
+    if memo is not None:
+        memo[id(a)] = (a, out)
+    return out
 
 
 class _Names:
@@ -152,10 +162,15 @@ def mrt_formula(sig: Signature, ctx_vars: Mapping[str, SimpleType], t: Term, a: 
 # Witness/challenge translation
 
 
-@dataclass(frozen=True)
-class DiaTypes:
-    witness: SimpleType
-    challenge: SimpleType
+class DiaTypes(Record):
+    __slots__ = ("witness", "challenge")
+
+    def __init__(self, witness: SimpleType, challenge: SimpleType):
+        _DiaTypes_witness(self, witness)
+        _DiaTypes_challenge(self, challenge)
+
+
+_DiaTypes_witness, _DiaTypes_challenge = slot_setters(DiaTypes)
 
 
 def dia_types(a: Formula) -> DiaTypes:

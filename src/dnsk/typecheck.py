@@ -23,7 +23,6 @@ instead of walking every hypothesis again.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .printer import print_formula, print_type
@@ -31,9 +30,9 @@ from .syntax import (
     And, App, Arrow, Ascribe, Bot, BOT, Case, Dest, Efq, Eq0, ExPair,
     Exists, Forall, Formula, Fst, Hyp, Imp, Inl, Inr, KernelError, Lam,
     NAT, Or, Pair, PApp, PLam, PPair, PredApp, ProofTerm, Proj1, Proj2,
-    Prod, Rec, Reset, Shift, Signature, SimpleType, Snd, Star, Succ, Term,
-    TApp, TLam, UNIT, Var, Zero, alpha_eq_formula, fv_formula,
-    subst_formula,
+    Prod, Rec, Record, Reset, Shift, Signature, SimpleType, Snd, Star, Succ,
+    Term, TApp, TLam, UNIT, Var, Zero, alpha_eq_formula, fv_formula,
+    slot_setters, subst_formula,
 )
 
 
@@ -48,18 +47,24 @@ class SortError(KernelError):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(Record):
     """Typing context: individual variables and named hypotheses."""
 
-    term_vars: Mapping[str, SimpleType] = field(default_factory=dict)
-    hyps: Mapping[str, Formula] = field(default_factory=dict)
+    __slots__ = ("term_vars", "hyps")
+
+    def __init__(self, term_vars: Optional[Mapping[str, SimpleType]] = None,
+                 hyps: Optional[Mapping[str, Formula]] = None):
+        _Context_term_vars(self, {} if term_vars is None else term_vars)
+        _Context_hyps(self, {} if hyps is None else hyps)
 
     def with_var(self, name: str, sort: SimpleType) -> "Context":
         return Context({**self.term_vars, name: sort}, self.hyps)
 
     def with_hyp(self, name: str, formula: Formula) -> "Context":
         return Context(self.term_vars, {**self.hyps, name: formula})
+
+
+_Context_term_vars, _Context_hyps = slot_setters(Context)
 
 
 def infer_term_type(term_vars: Mapping[str, SimpleType], t: Term) -> SimpleType:
@@ -160,22 +165,32 @@ def wf_formula(sig: Signature, term_vars: Mapping[str, SimpleType], a: Formula) 
 # Proof checking
 
 
-@dataclass(frozen=True)
-class Derivation:
-    rule: str
-    annotation: Annotation
-    subject: ProofTerm
-    goal: Formula
-    children: tuple = ()
+class Derivation(Record):
+    __slots__ = ("rule", "annotation", "subject", "goal", "children")
+
+    def __init__(self, rule: str, annotation: Annotation, subject: ProofTerm, goal: Formula,
+                 children: tuple = ()):
+        _Derivation_rule(self, rule)
+        _Derivation_annotation(self, annotation)
+        _Derivation_subject(self, subject)
+        _Derivation_goal(self, goal)
+        _Derivation_children(self, children)
 
 
-@dataclass(frozen=True)
-class CheckFailure:
-    kind: str
-    path: tuple
-    message: str
-    expected: Optional[str] = None
-    got: Optional[str] = None
+(_Derivation_rule, _Derivation_annotation, _Derivation_subject, _Derivation_goal,
+ _Derivation_children) = slot_setters(Derivation)
+
+
+class CheckFailure(Record):
+    __slots__ = ("kind", "path", "message", "expected", "got")
+
+    def __init__(self, kind: str, path: tuple, message: str, expected: Optional[str] = None,
+                 got: Optional[str] = None):
+        _CheckFailure_kind(self, kind)
+        _CheckFailure_path(self, path)
+        _CheckFailure_message(self, message)
+        _CheckFailure_expected(self, expected)
+        _CheckFailure_got(self, got)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "path": list(self.path), "message": self.message}
@@ -186,11 +201,18 @@ class CheckFailure:
         return out
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    status: str  # 'ok' | 'error'
-    derivation: Optional[Derivation] = None
-    error: Optional[CheckFailure] = None
+(_CheckFailure_kind, _CheckFailure_path, _CheckFailure_message, _CheckFailure_expected,
+ _CheckFailure_got) = slot_setters(CheckFailure)
+
+
+class CheckReport(Record):
+    __slots__ = ("status", "derivation", "error")
+
+    def __init__(self, status: str, derivation: Optional[Derivation] = None,
+                 error: Optional[CheckFailure] = None):
+        _CheckReport_status(self, status)  # 'ok' | 'error'
+        _CheckReport_derivation(self, derivation)
+        _CheckReport_error(self, error)
 
     @property
     def ok(self) -> bool:
@@ -201,6 +223,9 @@ class CheckReport:
         if self.error is not None:
             out["error"] = self.error.to_dict()
         return out
+
+
+_CheckReport_status, _CheckReport_derivation, _CheckReport_error = slot_setters(CheckReport)
 
 
 class _Fail(KernelError):

@@ -65,17 +65,33 @@ def test_too_deep_input_is_usage_exit(tmp_path, name):
     assert out == ""
 
 
-def test_too_deep_input_prints_no_traceback(tmp_path):
-    path = tmp_path / "deep_fst.dnsk"
-    path.write_text(DEEP_SOURCES["deep_fst.dnsk"])
+def run_python(*args):
+    """A fresh interpreter with this checkout's ``src`` first on its path."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in (os.environ.get("PYTHONPATH"),) if p])}
-    proc = subprocess.run([sys.executable, "-m", "dnsk.cli", "check", str(path)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+def test_too_deep_input_prints_no_traceback(tmp_path):
+    path = tmp_path / "deep_fst.dnsk"
+    path.write_text(DEEP_SOURCES["deep_fst.dnsk"])
+    proc = run_python("-m", "dnsk.cli", "check", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"dnsk: {path}: input nested too deeply\n"
+
+
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    # every dnsk command pays for its imports; the kernel's records are
+    # defined without the dataclass machinery, which imports inspect.  Only
+    # what the import adds counts: some installations load inspect at start.
+    proc = run_python("-c", "import sys; before = set(sys.modules); import dnsk.cli; "
+                            "added = set(sys.modules) - before; "
+                            "print(sorted({'dataclasses', 'inspect'} & added))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_translate_modes():

@@ -104,7 +104,6 @@ def _replace(t, old, new):
         return new
     if not hasattr(t, "__dataclass_fields__"):
         return t
-    import dataclasses
     return type(t)(**{f: _replace(getattr(t, f), old, new)
                       for f in t.__dataclass_fields__})
 

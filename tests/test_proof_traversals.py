@@ -5,7 +5,6 @@ hypotheses and individual variables, so capture and shadowing happen often,
 and a fresh name for ``x`` can clash with a free ``x1``."""
 
 import random
-from dataclasses import fields
 from typing import get_args
 
 import reference_syntax as ref
@@ -70,7 +69,7 @@ def rebind(rng, p):
     """p with some binder names changed at random, their scopes left as is."""
     if type(p) is Hyp:
         return p
-    vals = [getattr(p, f.name) for f in fields(p)]
+    vals = [getattr(p, f) for f in type(p).__match_args__]
     for i, kind in enumerate(syntax.PROOF_SLOTS[type(p)]):
         if kind == syntax.PROOF:
             vals[i] = rebind(rng, vals[i])
@@ -85,7 +84,7 @@ def test_generator_covers_every_constructor():
 
     def walk(p):
         seen.add(type(p))
-        for v in vars(p).values():
+        for v in (getattr(p, f) for f in type(p).__match_args__):
             if type(v) in syntax.PROOF_SLOTS or type(v) is Hyp:
                 walk(v)
 
