@@ -10,9 +10,10 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from .syntax import (
-    App, Arrow, Forall, Formula, Imp, KernelError, Lam, NAT, Or, Pair, Prod,
-    Proj1, Proj2, Rec, Record, SimpleType, STAR, Succ, Term, Unit, Var, ZERO,
-    fresh_name, fv_formula, fv_term, node_termvars, slot_setters, subst_term,
+    App, Arrow, Ascribe, Case, Dest, Efq, ExPair, Forall, Formula, Fst, Hyp, Imp, Inl, Inr,
+    KernelError, Lam, NAT, Or, PApp, Pair, PLam, PPair, Prod, Proj1, Proj2, Rec, Record, Reset,
+    Shift, SimpleType, Snd, STAR, Succ, TApp, Term, TLam, Unit, Var, ZERO, fresh_name,
+    fv_formula, fv_term, node_termvars, slot_setters, subst_term,
 )
 from .translate import mr_type
 from .typecheck import Derivation
@@ -58,6 +59,17 @@ def dummy(sort: SimpleType) -> Term:
             return ZERO
 
 
+# the proof form that check_proof gives each rule as its subject; extract
+# looks it up once and tests it by identity, commonest rule first, where a
+# match on the rule's text compares it with each name in turn
+_RULE_FORMS = {
+    "ax": Hyp, "and_i": PPair, "and_e1": Fst, "and_e2": Snd, "or_i1": Inl, "or_i2": Inr,
+    "or_e": Case, "imp_i": PLam, "imp_e": PApp, "forall_i": TLam, "forall_e": TApp,
+    "exists_i": ExPair, "exists_e": Dest, "bot_e": Efq, "ascribe": Ascribe, "reset": Reset,
+    "shift": Shift,
+}
+
+
 def _cond(sort: SimpleType, flag: Term, if_zero: Term, if_nonzero: Term) -> Term:
     """Select by a numeric flag, zero picking the first branch; built from
     the recursor since the term language has no primitive conditional."""
@@ -88,82 +100,82 @@ class _Extractor:
 
     def extract(self, d: Derivation, local: Mapping[str, str]) -> Term:
         rule = d.rule
+        form = _RULE_FORMS.get(rule)
         goal = d.goal
         kids = d.children
-        match rule:
-            case "ax":
-                name = d.subject.name
-                if name in local:
-                    return Var(local[name])
-                if name in self.env.unrealizable:
-                    raise ExtractionError(
-                        "UnrealizableAxiom",
-                        f"hypothesis {name!r} has no realizer; supply one explicitly",
-                    )
-                if name in self.env.axiom_realizers:
-                    return self.env.axiom_realizers[name]
-                if name in self.env.hyp_realizers:
-                    return Var(self.env.hyp_realizers[name])
-                raise ExtractionError("UnmappedHypothesis", f"no realizer for hypothesis {name!r}")
-            case "and_i":
-                return Pair(self.extract(kids[0], local), self.extract(kids[1], local))
-            case "and_e1":
-                return Proj1(self.extract(kids[0], local))
-            case "and_e2":
-                return Proj2(self.extract(kids[0], local))
-            case "or_i1":
-                assert isinstance(goal, Or)
-                return Pair(
-                    Pair(self.extract(kids[0], local), dummy(mr_type(goal.right, self.sorts))),
-                    ZERO)
-            case "or_i2":
-                assert isinstance(goal, Or)
-                return Pair(
-                    Pair(dummy(mr_type(goal.left, self.sorts)), self.extract(kids[0], local)),
-                    Succ(ZERO))
-            case "or_e":
-                s = self.extract(kids[0], local)
-                case_node = d.subject
-                v1 = self.fresh("r")
-                v2 = self.fresh("r")
-                left = self.extract(kids[1], {**local, case_node.left_name: v1})
-                right = self.extract(kids[2], {**local, case_node.right_name: v2})
-                left = subst_term(left, v1, Proj1(Proj1(s)), self.memo)
-                right = subst_term(right, v2, Proj2(Proj1(s)), self.memo)
-                return _cond(mr_type(goal, self.sorts), Proj2(s), left, right)
-            case "imp_i":
-                assert isinstance(goal, Imp)
-                a = d.subject.hyp
-                v = self.fresh("r")
-                body = self.extract(kids[0], {**local, a: v})
-                return Lam(v, mr_type(goal.left, self.sorts), body)
-            case "imp_e":
-                return App(self.extract(kids[0], local), self.extract(kids[1], local))
-            case "forall_i":
-                assert isinstance(goal, Forall)
-                return Lam(d.subject.var, goal.sort, self.extract(kids[0], local))
-            case "forall_e":
-                return App(self.extract(kids[0], local), d.subject.arg)
-            case "exists_i":
-                # realizer first, witness second
-                return Pair(self.extract(kids[0], local), d.subject.witness)
-            case "exists_e":
-                s = self.extract(kids[0], local)
-                node = d.subject
-                v = self.fresh("r")
-                body = self.extract(kids[1], {**local, node.hyp: v})
-                body = subst_term(body, v, Proj1(s), self.memo)
-                body = subst_term(body, node.var, Proj2(s), self.memo)
-                return body
-            case "bot_e":
-                return dummy(mr_type(goal, self.sorts))
-            case "ascribe":
-                return self.extract(kids[0], local)
-            case "reset" | "shift":
+        if form is Hyp:
+            name = d.subject.name
+            if name in local:
+                return Var(local[name])
+            if name in self.env.unrealizable:
                 raise ExtractionError(
-                    "ControlNodePresent",
-                    "extraction is defined only for control-free derivations",
+                    "UnrealizableAxiom",
+                    f"hypothesis {name!r} has no realizer; supply one explicitly",
                 )
+            if name in self.env.axiom_realizers:
+                return self.env.axiom_realizers[name]
+            if name in self.env.hyp_realizers:
+                return Var(self.env.hyp_realizers[name])
+            raise ExtractionError("UnmappedHypothesis", f"no realizer for hypothesis {name!r}")
+        if form is Ascribe:
+            return self.extract(kids[0], local)
+        if form is ExPair:
+            # realizer first, witness second
+            return Pair(self.extract(kids[0], local), d.subject.witness)
+        if form is PLam:
+            assert isinstance(goal, Imp)
+            a = d.subject.hyp
+            v = self.fresh("r")
+            body = self.extract(kids[0], {**local, a: v})
+            return Lam(v, mr_type(goal.left, self.sorts), body)
+        if form is PPair:
+            return Pair(self.extract(kids[0], local), self.extract(kids[1], local))
+        if form is TLam:
+            assert isinstance(goal, Forall)
+            return Lam(d.subject.var, goal.sort, self.extract(kids[0], local))
+        if form is Inl:
+            assert isinstance(goal, Or)
+            return Pair(
+                Pair(self.extract(kids[0], local), dummy(mr_type(goal.right, self.sorts))),
+                ZERO)
+        if form is Inr:
+            assert isinstance(goal, Or)
+            return Pair(
+                Pair(dummy(mr_type(goal.left, self.sorts)), self.extract(kids[0], local)),
+                Succ(ZERO))
+        if form is Dest:
+            s = self.extract(kids[0], local)
+            node = d.subject
+            v = self.fresh("r")
+            body = self.extract(kids[1], {**local, node.hyp: v})
+            body = subst_term(body, v, Proj1(s), self.memo)
+            body = subst_term(body, node.var, Proj2(s), self.memo)
+            return body
+        if form is PApp:
+            return App(self.extract(kids[0], local), self.extract(kids[1], local))
+        if form is Case:
+            s = self.extract(kids[0], local)
+            case_node = d.subject
+            v1 = self.fresh("r")
+            v2 = self.fresh("r")
+            left = self.extract(kids[1], {**local, case_node.left_name: v1})
+            right = self.extract(kids[2], {**local, case_node.right_name: v2})
+            left = subst_term(left, v1, Proj1(Proj1(s)), self.memo)
+            right = subst_term(right, v2, Proj2(Proj1(s)), self.memo)
+            return _cond(mr_type(goal, self.sorts), Proj2(s), left, right)
+        if form is TApp:
+            return App(self.extract(kids[0], local), d.subject.arg)
+        if form is Fst:
+            return Proj1(self.extract(kids[0], local))
+        if form is Snd:
+            return Proj2(self.extract(kids[0], local))
+        if form is Efq:
+            return dummy(mr_type(goal, self.sorts))
+        if form is Reset or form is Shift:
+            raise ExtractionError(
+                "ControlNodePresent",
+                "extraction is defined only for control-free derivations",
+            )
         raise ExtractionError("UnknownRule", f"unhandled rule {rule!r}")
 
 

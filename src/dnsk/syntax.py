@@ -7,8 +7,13 @@ numeral's chain or an application's argument chain in a loop.
 Alpha-equivalence and capture-avoiding substitution are provided as
 functions over the named representation.
 
-Terms and formulas are traversed by hand.  A substitution returns a node
-itself when nothing in it changed, so untouched subtrees stay shared.
+Terms and formulas are traversed by hand.  Each walker reads a node's class
+once, ``cls = type(node)``, and tests it with ``cls is X`` in the order the
+classes are met most often, instead of a ``match`` on class patterns, which
+runs an isinstance test and reads ``__match_args__`` per pattern tried; no
+node class has a subclass, so the two select the same branch.  A
+substitution returns a node itself when nothing in it changed, so untouched
+subtrees stay shared.
 fv_term and fv_formula take an optional memo of free variables by node
 identity, which check_proof and extract_mr keep for one call; given it, a
 substitution does not enter a subtree in which its variable is not free.
@@ -301,29 +306,32 @@ def fv_term(t: Term, memo: Optional[dict] = None) -> frozenset:
     of one call, maps id(node) to (node, free variables) for every node
     walked (the node is held so that its id is not reused), so a subterm
     shared by many terms is walked once."""
+    cls = type(t)
+    if cls is Zero:
+        return _NO_NAMES
     if memo is not None:
         entry = memo.get(id(t))
         if entry is not None:
             return entry[1]
-    match t:
-        case Var(x):
-            out = frozenset((x,))
-        case Lam(x, _, b):
-            out = fv_term(b, memo) - {x}
-        case App(f, a):
-            out = fv_term(f, memo) | fv_term(a, memo)
-        case Pair(a, b):
-            out = fv_term(a, memo) | fv_term(b, memo)
-        case Proj1(a) | Proj2(a):
-            out = fv_term(a, memo)
-        case Succ(a):
-            while a.__class__ is Succ:
-                a = a.arg
-            out = fv_term(a, memo)
-        case Rec(_, n, b, s):
-            out = fv_term(n, memo) | fv_term(b, memo) | fv_term(s, memo)
-        case _:
-            return _NO_NAMES
+    if cls is Succ:
+        a = t.arg
+        while a.__class__ is Succ:
+            a = a.arg
+        out = fv_term(a, memo)
+    elif cls is Var:
+        out = frozenset((t.name,))
+    elif cls is Pair:
+        out = fv_term(t.fst, memo) | fv_term(t.snd, memo)
+    elif cls is Proj1 or cls is Proj2:
+        out = fv_term(t.arg, memo)
+    elif cls is Lam:
+        out = fv_term(t.body, memo) - {t.var}
+    elif cls is App:
+        out = fv_term(t.fn, memo) | fv_term(t.arg, memo)
+    elif cls is Rec:
+        out = fv_term(t.scrut, memo) | fv_term(t.base, memo) | fv_term(t.step, memo)
+    else:
+        return _NO_NAMES
     if memo is not None:
         memo[id(t)] = (t, out)
     return out
@@ -341,35 +349,39 @@ def _subst_term(t: Term, x: str, r: Term, rfv: list, memo: Optional[dict] = None
     # substitution into a term without binders never reads r
     if memo is not None and x not in fv_term(t, memo):
         return t
-    match t:
-        case Var(y):
-            return r if y == x else t
-        case Lam(y, s, b):
-            if y == x:
-                return t
-            if rfv[0] is None:
-                rfv[0] = fv_term(r)
-            if y in rfv[0] and x in (fvb := fv_term(b, memo)):
-                y2 = fresh_name(y, rfv[0] | fvb | {x})
-                b = _subst_term(b, y, Var(y2), [None], memo)
-                return Lam(y2, s, _subst_term(b, x, r, rfv, memo))
-            b2 = _subst_term(b, x, r, rfv, memo)
-            return t if b2 is b else Lam(y, s, b2)
-        case App(f, a):
-            f2, a2 = _subst_term(f, x, r, rfv, memo), _subst_term(a, x, r, rfv, memo)
-            return t if f2 is f and a2 is a else App(f2, a2)
-        case Pair(a, b):
-            a2, b2 = _subst_term(a, x, r, rfv, memo), _subst_term(b, x, r, rfv, memo)
-            return t if a2 is a and b2 is b else Pair(a2, b2)
-        case Proj1(a) | Proj2(a) | Succ(a):
-            a2 = _subst_term(a, x, r, rfv, memo)
-            return t if a2 is a else type(t)(a2)
-        case Rec(s, n, b, st):
-            n2, b2, st2 = (_subst_term(n, x, r, rfv, memo), _subst_term(b, x, r, rfv, memo),
-                           _subst_term(st, x, r, rfv, memo))
-            return t if n2 is n and b2 is b and st2 is st else Rec(s, n2, b2, st2)
-        case _:
+    cls = type(t)
+    if cls is Var:
+        return r if t.name == x else t
+    if cls is Proj1 or cls is Proj2 or cls is Succ:
+        a = t.arg
+        a2 = _subst_term(a, x, r, rfv, memo)
+        return t if a2 is a else cls(a2)
+    if cls is App:
+        f, a = t.fn, t.arg
+        f2, a2 = _subst_term(f, x, r, rfv, memo), _subst_term(a, x, r, rfv, memo)
+        return t if f2 is f and a2 is a else App(f2, a2)
+    if cls is Pair:
+        a, b = t.fst, t.snd
+        a2, b2 = _subst_term(a, x, r, rfv, memo), _subst_term(b, x, r, rfv, memo)
+        return t if a2 is a and b2 is b else Pair(a2, b2)
+    if cls is Lam:
+        y, b = t.var, t.body
+        if y == x:
             return t
+        if rfv[0] is None:
+            rfv[0] = fv_term(r)
+        if y in rfv[0] and x in (fvb := fv_term(b, memo)):
+            y2 = fresh_name(y, rfv[0] | fvb | {x})
+            b = _subst_term(b, y, Var(y2), [None], memo)
+            return Lam(y2, t.sort, _subst_term(b, x, r, rfv, memo))
+        b2 = _subst_term(b, x, r, rfv, memo)
+        return t if b2 is b else Lam(y, t.sort, b2)
+    if cls is Rec:
+        n, b, st = t.scrut, t.base, t.step
+        n2, b2, st2 = (_subst_term(n, x, r, rfv, memo), _subst_term(b, x, r, rfv, memo),
+                       _subst_term(st, x, r, rfv, memo))
+        return t if n2 is n and b2 is b and st2 is st else Rec(t.sort, n2, b2, st2)
+    return t
 
 
 def _aeq_var(x: str, y: str, ea: Mapping[str, int], eb: Mapping[str, int]) -> bool:
@@ -380,28 +392,30 @@ def _aeq_var(x: str, y: str, ea: Mapping[str, int], eb: Mapping[str, int]) -> bo
 
 
 def _aeq_term(a: Term, b: Term, ea, eb, n: int) -> bool:
-    match a, b:
-        case (Var(x), Var(y)):
-            return _aeq_var(x, y, ea, eb)
-        case (Lam(x, s, p), Lam(y, t, q)):
-            return s == t and _aeq_term(p, q, {**ea, x: n}, {**eb, y: n}, n + 1)
-        case (App(f, u), App(g, v)):
-            return _aeq_term(f, g, ea, eb, n) and _aeq_term(u, v, ea, eb, n)
-        case (Pair(u, v), Pair(u2, v2)):
-            return _aeq_term(u, u2, ea, eb, n) and _aeq_term(v, v2, ea, eb, n)
-        case (Proj1(u), Proj1(v)) | (Proj2(u), Proj2(v)) | (Succ(u), Succ(v)):
-            return _aeq_term(u, v, ea, eb, n)
-        case (Star(), Star()) | (Zero(), Zero()):
-            return True
-        case (Rec(s, n1, b1, s1), Rec(t, n2, b2, s2)):
-            return (
-                s == t
-                and _aeq_term(n1, n2, ea, eb, n)
-                and _aeq_term(b1, b2, ea, eb, n)
-                and _aeq_term(s1, s2, ea, eb, n)
-            )
-        case _:
-            return False
+    cls = type(a)
+    if cls is not type(b):
+        return False
+    if cls is Zero or cls is Star:
+        return True
+    if cls is Succ or cls is Proj1 or cls is Proj2:
+        return _aeq_term(a.arg, b.arg, ea, eb, n)
+    if cls is Var:
+        return _aeq_var(a.name, b.name, ea, eb)
+    if cls is App:
+        return _aeq_term(a.fn, b.fn, ea, eb, n) and _aeq_term(a.arg, b.arg, ea, eb, n)
+    if cls is Pair:
+        return _aeq_term(a.fst, b.fst, ea, eb, n) and _aeq_term(a.snd, b.snd, ea, eb, n)
+    if cls is Lam:
+        return a.sort == b.sort and _aeq_term(a.body, b.body, {**ea, a.var: n},
+                                              {**eb, b.var: n}, n + 1)
+    if cls is Rec:
+        return (
+            a.sort == b.sort
+            and _aeq_term(a.scrut, b.scrut, ea, eb, n)
+            and _aeq_term(a.base, b.base, ea, eb, n)
+            and _aeq_term(a.step, b.step, ea, eb, n)
+        )
+    return False
 
 
 def alpha_eq_term(a: Term, b: Term) -> bool:
@@ -515,19 +529,19 @@ def fv_formula(a: Formula, memo: Optional[dict] = None) -> frozenset:
         entry = memo.get(id(a))
         if entry is not None:
             return entry[1]
-    match a:
-        case Eq0(l, r):
-            out = fv_term(l, memo) | fv_term(r, memo)
-        case PredApp(_, args):
-            out = _NO_NAMES
-            for t in args:
-                out = out | fv_term(t, memo)
-        case And(l, r) | Or(l, r) | Imp(l, r):
-            out = fv_formula(l, memo) | fv_formula(r, memo)
-        case Forall(x, _, b) | Exists(x, _, b):
-            out = fv_formula(b, memo) - {x}
-        case _:
-            return _NO_NAMES
+    cls = type(a)
+    if cls is PredApp:
+        out = _NO_NAMES
+        for t in a.args:
+            out = out | fv_term(t, memo)
+    elif cls is Imp or cls is And or cls is Or:
+        out = fv_formula(a.left, memo) | fv_formula(a.right, memo)
+    elif cls is Forall or cls is Exists:
+        out = fv_formula(a.body, memo) - {a.var}
+    elif cls is Eq0:
+        out = fv_term(a.lhs, memo) | fv_term(a.rhs, memo)
+    else:
+        return _NO_NAMES
     if memo is not None:
         memo[id(a)] = (a, out)
     return out
@@ -545,51 +559,55 @@ def _subst_formula(a: Formula, x: str, r: Term, rfv: list,
     # rfv as in _subst_term
     if memo is not None and x not in fv_formula(a, memo):
         return a
-    match a:
-        case Eq0(l, rr):
-            l2, r2 = _subst_term(l, x, r, rfv, memo), _subst_term(rr, x, r, rfv, memo)
-            return a if l2 is l and r2 is rr else Eq0(l2, r2)
-        case PredApp(p, args):
-            args2 = tuple([_subst_term(t, x, r, rfv, memo) for t in args])
-            return a if all(map(is_, args2, args)) else PredApp(p, args2)
-        case And(l, rr) | Or(l, rr) | Imp(l, rr):
-            l2, r2 = _subst_formula(l, x, r, rfv, memo), _subst_formula(rr, x, r, rfv, memo)
-            return a if l2 is l and r2 is rr else type(a)(l2, r2)
-        case Forall(y, s, b) | Exists(y, s, b):
-            if y == x:
-                return a
-            if rfv[0] is None:
-                rfv[0] = fv_term(r)
-            if y in rfv[0] and x in (fvb := fv_formula(b, memo)):
-                y2 = fresh_name(y, rfv[0] | fvb | {x})
-                b = _subst_formula(b, y, Var(y2), [None], memo)
-                return type(a)(y2, s, _subst_formula(b, x, r, rfv, memo))
-            b2 = _subst_formula(b, x, r, rfv, memo)
-            return a if b2 is b else type(a)(y, s, b2)
-        case _:
+    cls = type(a)
+    if cls is PredApp:
+        args = a.args
+        args2 = tuple([_subst_term(t, x, r, rfv, memo) for t in args])
+        return a if all(map(is_, args2, args)) else PredApp(a.sym, args2)
+    if cls is Imp or cls is And or cls is Or:
+        l, rr = a.left, a.right
+        l2, r2 = _subst_formula(l, x, r, rfv, memo), _subst_formula(rr, x, r, rfv, memo)
+        return a if l2 is l and r2 is rr else cls(l2, r2)
+    if cls is Forall or cls is Exists:
+        y, b = a.var, a.body
+        if y == x:
             return a
+        if rfv[0] is None:
+            rfv[0] = fv_term(r)
+        if y in rfv[0] and x in (fvb := fv_formula(b, memo)):
+            y2 = fresh_name(y, rfv[0] | fvb | {x})
+            b = _subst_formula(b, y, Var(y2), [None], memo)
+            return cls(y2, a.sort, _subst_formula(b, x, r, rfv, memo))
+        b2 = _subst_formula(b, x, r, rfv, memo)
+        return a if b2 is b else cls(y, a.sort, b2)
+    if cls is Eq0:
+        l, rr = a.lhs, a.rhs
+        l2, r2 = _subst_term(l, x, r, rfv, memo), _subst_term(rr, x, r, rfv, memo)
+        return a if l2 is l and r2 is rr else Eq0(l2, r2)
+    return a
 
 
 def _aeq_formula(a: Formula, b: Formula, ea, eb, n: int) -> bool:
-    match a, b:
-        case (Bot(), Bot()):
-            return True
-        case (Eq0(l1, r1), Eq0(l2, r2)):
-            return _aeq_term(l1, l2, ea, eb, n) and _aeq_term(r1, r2, ea, eb, n)
-        case (PredApp(p, xs), PredApp(q, ys)):
-            return (
-                p == q
-                and len(xs) == len(ys)
-                and all(_aeq_term(u, v, ea, eb, n) for u, v in zip(xs, ys))
-            )
-        case (And(l1, r1), And(l2, r2)) | (Or(l1, r1), Or(l2, r2)) | (Imp(l1, r1), Imp(l2, r2)):
-            return _aeq_formula(l1, l2, ea, eb, n) and _aeq_formula(r1, r2, ea, eb, n)
-        case (Forall(x, s, p), Forall(y, t, q)) | (Exists(x, s, p), Exists(y, t, q)):
-            if type(a) is not type(b):
-                return False
-            return s == t and _aeq_formula(p, q, {**ea, x: n}, {**eb, y: n}, n + 1)
-        case _:
+    cls = type(a)
+    if cls is not type(b):
+        return False
+    if cls is PredApp:
+        xs, ys = a.args, b.args
+        if a.sym != b.sym or len(xs) != len(ys):
             return False
+        for u, v in zip(xs, ys):
+            if not _aeq_term(u, v, ea, eb, n):
+                return False
+        return True
+    if cls is Imp or cls is And or cls is Or:
+        return (_aeq_formula(a.left, b.left, ea, eb, n)
+                and _aeq_formula(a.right, b.right, ea, eb, n))
+    if cls is Forall or cls is Exists:
+        return a.sort == b.sort and _aeq_formula(a.body, b.body, {**ea, a.var: n},
+                                                 {**eb, b.var: n}, n + 1)
+    if cls is Eq0:
+        return _aeq_term(a.lhs, b.lhs, ea, eb, n) and _aeq_term(a.rhs, b.rhs, ea, eb, n)
+    return cls is Bot
 
 
 def alpha_eq_formula(a: Formula, b: Formula) -> bool:

@@ -12,8 +12,8 @@ from typing import Mapping, Optional
 
 from .printer import print_type
 from .syntax import (
-    And, App, Arrow, Eq0, Exists, Forall, Formula, Imp, KernelError, NAT, Or,
-    Prod, Proj1, Proj2, Record, Signature, SimpleType, Term, UNIT, Var, ZERO,
+    And, App, Arrow, Bot, Eq0, Exists, Forall, Formula, Imp, KernelError, NAT, Or,
+    PredApp, Prod, Proj1, Proj2, Record, Signature, SimpleType, Term, UNIT, Var, ZERO,
     fresh_name, fv_formula, fv_term, is_prime, neg, slot_setters, subst_formula,
 )
 from .typecheck import SortError, infer_term_type
@@ -62,25 +62,25 @@ def mr_type(a: Formula, memo: Optional[dict] = None) -> SimpleType:
     ``memo``, kept by a caller for the length of one call, maps id(node) to
     (node, sort) for every subformula whose sort was computed (the node is
     held so that its id is not reused), as in syntax.fv_term."""
+    cls = type(a)
+    if cls is PredApp or cls is Eq0 or cls is Bot:
+        return UNIT
     if memo is not None:
         entry = memo.get(id(a))
         if entry is not None:
             return entry[1]
-    match a:
-        case _ if is_prime(a):
-            return UNIT
-        case And(l, r):
-            out = Prod(mr_type(l, memo), mr_type(r, memo))
-        case Or(l, r):
-            out = Prod(Prod(mr_type(l, memo), mr_type(r, memo)), NAT)
-        case Imp(l, r):
-            out = Arrow(mr_type(l, memo), mr_type(r, memo))
-        case Exists(_, s, b):
-            out = Prod(mr_type(b, memo), s)
-        case Forall(_, s, b):
-            out = Arrow(s, mr_type(b, memo))
-        case _:
-            raise TypeError(f"not a formula: {a!r}")
+    if cls is Imp:
+        out = Arrow(mr_type(a.left, memo), mr_type(a.right, memo))
+    elif cls is And:
+        out = Prod(mr_type(a.left, memo), mr_type(a.right, memo))
+    elif cls is Or:
+        out = Prod(Prod(mr_type(a.left, memo), mr_type(a.right, memo)), NAT)
+    elif cls is Exists:
+        out = Prod(mr_type(a.body, memo), a.sort)
+    elif cls is Forall:
+        out = Arrow(a.sort, mr_type(a.body, memo))
+    else:
+        raise TypeError(f"not a formula: {a!r}")
     if memo is not None:
         memo[id(a)] = (a, out)
     return out

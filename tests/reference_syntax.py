@@ -1,16 +1,156 @@
 """The hand-written proof traversals the slot table in ``dnsk.syntax``
-replaced, kept verbatim as the oracle of ``test_proof_traversals.py``, and
-the term and formula substitutions that recomputed the replacement's free
-variables at every binder, kept verbatim as the oracle of ``test_nbe.py``."""
+replaced, kept verbatim as the oracle of ``test_proof_traversals.py``; the
+term and formula substitutions that recomputed the replacement's free
+variables at every binder, kept verbatim as the oracle of ``test_nbe.py``;
+and the free-variable, alpha-equivalence and realizer-sort walkers that
+dispatched on class patterns with ``match``, kept verbatim as the oracle of
+``test_walkers_diff.py``.  The substitutions and proof traversals here call
+these copies."""
 
 from __future__ import annotations
 
+from typing import Optional
+
 from dnsk.syntax import (
-    And, App, Ascribe, Case, Dest, Efq, Eq0, Exists, ExPair, Forall, Formula,
-    Fst, Hyp, Imp, Inl, Inr, Lam, Or, PApp, Pair, PLam, PPair, PredApp,
-    ProofTerm, Proj1, Proj2, Rec, Reset, Shift, Snd, Succ, TApp, TLam, Term,
-    Var, _aeq_formula, _aeq_term, _aeq_var, fresh_name, fv_formula, fv_term,
+    NAT, UNIT, And, App, Arrow, Ascribe, Bot, Case, Dest, Efq, Eq0, Exists, ExPair, Forall,
+    Formula, Fst, Hyp, Imp, Inl, Inr, Lam, Or, PApp, Pair, PLam, PPair, PredApp, Prod,
+    ProofTerm, Proj1, Proj2, Rec, Reset, Shift, SimpleType, Snd, Star, Succ, TApp, TLam,
+    Term, Var, Zero, _NO_NAMES, _aeq_var, fresh_name, is_prime,
 )
+
+
+def fv_term(t: Term, memo: Optional[dict] = None) -> frozenset:
+    """Free variables of a term.  ``memo``, kept by a caller for the length
+    of one call, maps id(node) to (node, free variables) for every node
+    walked (the node is held so that its id is not reused), so a subterm
+    shared by many terms is walked once."""
+    if memo is not None:
+        entry = memo.get(id(t))
+        if entry is not None:
+            return entry[1]
+    match t:
+        case Var(x):
+            out = frozenset((x,))
+        case Lam(x, _, b):
+            out = fv_term(b, memo) - {x}
+        case App(f, a):
+            out = fv_term(f, memo) | fv_term(a, memo)
+        case Pair(a, b):
+            out = fv_term(a, memo) | fv_term(b, memo)
+        case Proj1(a) | Proj2(a):
+            out = fv_term(a, memo)
+        case Succ(a):
+            while a.__class__ is Succ:
+                a = a.arg
+            out = fv_term(a, memo)
+        case Rec(_, n, b, s):
+            out = fv_term(n, memo) | fv_term(b, memo) | fv_term(s, memo)
+        case _:
+            return _NO_NAMES
+    if memo is not None:
+        memo[id(t)] = (t, out)
+    return out
+
+
+def _aeq_term(a: Term, b: Term, ea, eb, n: int) -> bool:
+    match a, b:
+        case (Var(x), Var(y)):
+            return _aeq_var(x, y, ea, eb)
+        case (Lam(x, s, p), Lam(y, t, q)):
+            return s == t and _aeq_term(p, q, {**ea, x: n}, {**eb, y: n}, n + 1)
+        case (App(f, u), App(g, v)):
+            return _aeq_term(f, g, ea, eb, n) and _aeq_term(u, v, ea, eb, n)
+        case (Pair(u, v), Pair(u2, v2)):
+            return _aeq_term(u, u2, ea, eb, n) and _aeq_term(v, v2, ea, eb, n)
+        case (Proj1(u), Proj1(v)) | (Proj2(u), Proj2(v)) | (Succ(u), Succ(v)):
+            return _aeq_term(u, v, ea, eb, n)
+        case (Star(), Star()) | (Zero(), Zero()):
+            return True
+        case (Rec(s, n1, b1, s1), Rec(t, n2, b2, s2)):
+            return (
+                s == t
+                and _aeq_term(n1, n2, ea, eb, n)
+                and _aeq_term(b1, b2, ea, eb, n)
+                and _aeq_term(s1, s2, ea, eb, n)
+            )
+        case _:
+            return False
+
+
+def fv_formula(a: Formula, memo: Optional[dict] = None) -> frozenset:
+    """Free variables of a formula; ``memo`` as in fv_term, shared by both."""
+    if memo is not None:
+        entry = memo.get(id(a))
+        if entry is not None:
+            return entry[1]
+    match a:
+        case Eq0(l, r):
+            out = fv_term(l, memo) | fv_term(r, memo)
+        case PredApp(_, args):
+            out = _NO_NAMES
+            for t in args:
+                out = out | fv_term(t, memo)
+        case And(l, r) | Or(l, r) | Imp(l, r):
+            out = fv_formula(l, memo) | fv_formula(r, memo)
+        case Forall(x, _, b) | Exists(x, _, b):
+            out = fv_formula(b, memo) - {x}
+        case _:
+            return _NO_NAMES
+    if memo is not None:
+        memo[id(a)] = (a, out)
+    return out
+
+
+def _aeq_formula(a: Formula, b: Formula, ea, eb, n: int) -> bool:
+    match a, b:
+        case (Bot(), Bot()):
+            return True
+        case (Eq0(l1, r1), Eq0(l2, r2)):
+            return _aeq_term(l1, l2, ea, eb, n) and _aeq_term(r1, r2, ea, eb, n)
+        case (PredApp(p, xs), PredApp(q, ys)):
+            return (
+                p == q
+                and len(xs) == len(ys)
+                and all(_aeq_term(u, v, ea, eb, n) for u, v in zip(xs, ys))
+            )
+        case (And(l1, r1), And(l2, r2)) | (Or(l1, r1), Or(l2, r2)) | (Imp(l1, r1), Imp(l2, r2)):
+            return _aeq_formula(l1, l2, ea, eb, n) and _aeq_formula(r1, r2, ea, eb, n)
+        case (Forall(x, s, p), Forall(y, t, q)) | (Exists(x, s, p), Exists(y, t, q)):
+            if type(a) is not type(b):
+                return False
+            return s == t and _aeq_formula(p, q, {**ea, x: n}, {**eb, y: n}, n + 1)
+        case _:
+            return False
+
+
+def mr_type(a: Formula, memo: Optional[dict] = None) -> SimpleType:
+    """Realizer sort; depends only on the logical skeleton of the formula.
+    ``memo``, kept by a caller for the length of one call, maps id(node) to
+    (node, sort) for every subformula whose sort was computed (the node is
+    held so that its id is not reused), as in syntax.fv_term."""
+    if memo is not None:
+        entry = memo.get(id(a))
+        if entry is not None:
+            return entry[1]
+    match a:
+        case _ if is_prime(a):
+            return UNIT
+        case And(l, r):
+            out = Prod(mr_type(l, memo), mr_type(r, memo))
+        case Or(l, r):
+            out = Prod(Prod(mr_type(l, memo), mr_type(r, memo)), NAT)
+        case Imp(l, r):
+            out = Arrow(mr_type(l, memo), mr_type(r, memo))
+        case Exists(_, s, b):
+            out = Prod(mr_type(b, memo), s)
+        case Forall(_, s, b):
+            out = Arrow(s, mr_type(b, memo))
+        case _:
+            raise TypeError(f"not a formula: {a!r}")
+    if memo is not None:
+        memo[id(a)] = (a, out)
+    return out
+
 
 
 def subst_term(t: Term, x: str, r: Term) -> Term:

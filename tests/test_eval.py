@@ -90,9 +90,9 @@ def _term_redexes(t):
 
     def walk(node):
         rebuilders(node)
-        for fld in getattr(node, "__dataclass_fields__", {}):
+        for fld in getattr(type(node), "__match_args__", ()):
             v = getattr(node, fld)
-            if hasattr(v, "__dataclass_fields__"):
+            if hasattr(type(v), "__match_args__"):
                 walk(v)
 
     walk(t)
@@ -102,10 +102,10 @@ def _term_redexes(t):
 def _replace(t, old, new):
     if t == old:
         return new
-    if not hasattr(t, "__dataclass_fields__"):
+    names = getattr(type(t), "__match_args__", None)
+    if names is None:
         return t
-    return type(t)(**{f: _replace(getattr(t, f), old, new)
-                      for f in t.__dataclass_fields__})
+    return type(t)(**{f: _replace(getattr(t, f), old, new) for f in names})
 
 
 def test_term_confluence_at_desk_scale():

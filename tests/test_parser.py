@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from dnsk import parser
 from dnsk.parser import ParseError, parse_formula, parse_proof, parse_source, parse_term, parse_type
 from dnsk.printer import print_formula, print_proof, print_term, print_type
 from dnsk.syntax import (
@@ -129,18 +130,26 @@ def test_error_positions(parse, src, message, line, col):
         (f"{line}:{col}: {message}", line, col)
 
 
-def test_speculative_parentheses_are_linear():
+def test_speculative_parentheses_are_linear(monkeypatch):
     # each "(x.1)" is first tried as a parenthesized formula, which fails
     # and is caught: the error's position must not cost a scan per failure
-    def seconds(n):
-        src = " /\\ ".join(["(x.1) = 0"] * n)
-        best = float("inf")
-        for _ in range(5):
+    scans = []
+    locator = parser._locator
+
+    def counted(src):
+        scans.append(src)
+        return locator(src)
+
+    monkeypatch.setattr(parser, "_locator", counted)
+    sources = {n: " /\\ ".join(["(x.1) = 0"] * n) for n in (100, 200, 400, 800)}
+    parse_formula(sources[800])
+    assert len(scans) <= 1, len(scans)
+
+    best = dict.fromkeys(sources, float("inf"))
+    for _ in range(5):  # sizes interleaved, so a slow spell hits all of them
+        for n, src in sources.items():  # 100 warms up
             start = time.perf_counter()
             parse_formula(src)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    seconds(100)  # warm up
-    t200, t400, t800 = seconds(200), seconds(400), seconds(800)
-    assert t400 <= 2.5 * t200 and t800 <= 2.5 * t400, (t200, t400, t800)
+            best[n] = min(best[n], time.perf_counter() - start)
+    _, t200, t400, t800 = best.values()
+    assert t400 <= 2.5 * t200 and t800 <= 2.5 * t400, best
