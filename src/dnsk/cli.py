@@ -22,7 +22,7 @@ from .parser import (
 from .printer import print_formula, print_proof, print_term, print_type
 from .syntax import Signature, Var, contains_control, fresh_name, fv_formula, neg
 from .translate import (
-    TranslationError, dia_nn_simplify, dia_types, dia_formula, kuroda,
+    TranslationError, _check_sort, dia_nn_simplify, dia_types, dia_formula, kuroda,
     kuroda_inner, mr_formula, mr_type, mrt_formula, spector_target,
 )
 from .typecheck import Annotation, Context, check_proof, infer_term_type
@@ -170,11 +170,13 @@ def _cmd_extract(args, out) -> int:
         env = ExtractionEnv({}, realizers, unreal)
         try:
             term = extract_mr(report.derivation, env)
-        except ExtractionError as e:
+            # an axiom's realizer is taken as written, so the term's sort is checked
+            _check_sort(ctx.term_vars, term, mr_type(decl.goal), "realizer")
+        except (ExtractionError, TranslationError) as e:
             print(f"{decl.name}: ERROR {e.kind}: {e}", file=out)
             code = 1
             continue
-        sort = infer_term_type(dict(ctx.term_vars), term)
+        sort = infer_term_type(ctx.term_vars, term)
         print(f"{decl.name} : {print_type(sort)}", file=out)
         print(f"{decl.name} := {print_term(term)}", file=out)
     return code
@@ -184,7 +186,13 @@ def _cmd_eval(args, out) -> int:
     sf = _load(args.file)
     sig = _signature(sf)
     ctx = _base_context(sf)
-    fuel = args.fuel if args.fuel is not None else int(os.environ.get("DNSK_FUEL", "10000"))
+    fuel = args.fuel
+    if fuel is None:
+        env_fuel = os.environ.get("DNSK_FUEL", "10000")
+        try:
+            fuel = int(env_fuel)
+        except ValueError:
+            raise _Failure(2, f"DNSK_FUEL must be an integer, got {env_fuel!r}") from None
     code = 0
     for decl, _ in _selected(sf, "eval", ProofDecl):
         ann = Annotation.BOT if decl.annotation == "bot" else Annotation.PLAIN

@@ -13,7 +13,7 @@ from .syntax import (
     App, Arrow, Ascribe, Case, Dest, Efq, ExPair, Forall, Formula, Fst, Hyp, Imp, Inl, Inr,
     KernelError, Lam, NAT, Or, PApp, Pair, PLam, PPair, Prod, Proj1, Proj2, Rec, Record, Reset,
     Shift, SimpleType, Snd, STAR, Succ, TApp, Term, TLam, Unit, Var, ZERO, fresh_name,
-    fv_formula, fv_term, node_termvars, slot_setters, subst_term,
+    fv_formula, fv_term, node_termvars, subst_term,
 )
 from .translate import mr_type
 from .typecheck import Derivation
@@ -37,13 +37,10 @@ class ExtractionEnv(Record):
     def __init__(self, hyp_realizers: Optional[Mapping[str, str]] = None,
                  axiom_realizers: Optional[Mapping[str, Term]] = None,
                  unrealizable: frozenset = frozenset()):
-        _ExtractionEnv_hyp_realizers(self, {} if hyp_realizers is None else hyp_realizers)
-        _ExtractionEnv_axiom_realizers(self, {} if axiom_realizers is None else axiom_realizers)
-        _ExtractionEnv_unrealizable(self, unrealizable)
-
-
-(_ExtractionEnv_hyp_realizers, _ExtractionEnv_axiom_realizers,
- _ExtractionEnv_unrealizable) = slot_setters(ExtractionEnv)
+        object.__setattr__(self, "hyp_realizers", {} if hyp_realizers is None else hyp_realizers)
+        object.__setattr__(self, "axiom_realizers",
+                           {} if axiom_realizers is None else axiom_realizers)
+        object.__setattr__(self, "unrealizable", unrealizable)
 
 
 def dummy(sort: SimpleType) -> Term:

@@ -453,54 +453,25 @@ class _Decl(Record):
 class PredDecl(_Decl):
     __slots__ = ("name", "sorts")
 
-    def __init__(self, name: str, sorts: tuple):
-        self.name = name
-        self.sorts = sorts
-
 
 class FormulaDecl(_Decl):
     __slots__ = ("name", "formula")
 
-    def __init__(self, name: str, formula: Formula):
-        self.name = name
-        self.formula = formula
 
-
-class AxiomDecl(_Decl):
+class AxiomDecl(_Decl, realizer=None):
     __slots__ = ("name", "formula", "realizer")
-
-    def __init__(self, name: str, formula: Formula, realizer: Optional[Term] = None):
-        self.name = name
-        self.formula = formula
-        self.realizer = realizer
 
 
 class ProofDecl(_Decl):
-    __slots__ = ("name", "annotation", "goal", "proof")
-
-    def __init__(self, name: str, annotation: str, goal: Formula, proof: ProofTerm):
-        self.name = name
-        self.annotation = annotation  # 'plain' or 'bot'
-        self.goal = goal
-        self.proof = proof
+    __slots__ = ("name", "annotation", "goal", "proof")  # annotation: 'plain' or 'bot'
 
 
 class TermDecl(_Decl):
     __slots__ = ("name", "sort", "term")
 
-    def __init__(self, name: str, sort: SimpleType, term: Term):
-        self.name = name
-        self.sort = sort
-        self.term = term
 
-
-class Directive(_Decl):
-    __slots__ = ("kind", "name", "mode")
-
-    def __init__(self, kind: str, name: str, mode: Optional[str] = None):
-        self.kind = kind  # 'check' | 'translate' | 'extract' | 'eval'
-        self.name = name
-        self.mode = mode
+class Directive(_Decl, mode=None):
+    __slots__ = ("kind", "name", "mode")  # kind: one of DIRECTIVE_KINDS
 
 
 class SourceFile(_Decl):

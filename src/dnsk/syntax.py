@@ -32,6 +32,7 @@ Python stack.
 from __future__ import annotations
 
 from operator import attrgetter, is_
+from types import FunctionType, SimpleNamespace
 from typing import Mapping, Optional, Union
 
 
@@ -48,20 +49,27 @@ class Record:
     of the checker, translations, extractor and library (the parser's
     declarations subclass it too, but stay assignable).
 
-    A subclass names its fields, in order, in ``__slots__`` and fills them
-    in its own ``__init__`` through the slots' descriptors (slot_setters),
-    the cheapest way to fill a slot that ``__setattr__`` refuses.  From the
-    names the base derives what a frozen dataclass would have: positional
+    A subclass names its fields, in order, in ``__slots__``, and trailing
+    defaults as class keywords, ``class Derivation(Record, children=())``.
+    From the names the base derives what a frozen dataclass would have: a
+    constructor with one parameter per field, positional
     ``__match_args__``, the same ``repr`` text, equality between records of
     one class, a hash over the fields, and pickling and copying through the
-    constructor.  No code is generated per class, so defining one costs
-    next to nothing at import.  ``__dataclass_fields__`` maps the same
-    names, in order, for code that walks any node by its fields;
-    ``dataclasses.fields``, ``replace`` and ``asdict`` do not apply."""
+    constructor.  The constructor is a copy of one of the templates _INITS,
+    one per field count, with its parameters renamed to the field names;
+    it fills the slots through their descriptors' setters, the cheapest way
+    to fill a slot that ``__setattr__`` refuses.  A record whose
+    constructor does more defines its own.  No source is compiled per class, so defining one
+    costs a few microseconds at import.  ``__dataclass_fields__`` maps the
+    same names, in order, for code that walks any node by its fields;
+    ``dataclasses.fields``, ``replace`` and ``asdict`` do not apply, and
+    ``__dataclass_params__`` says the ``repr`` is not a dataclass's, so
+    ``pprint`` prints a record by its ``repr``."""
 
     __slots__ = ()
+    __dataclass_params__ = SimpleNamespace(repr=False)
 
-    def __init_subclass__(cls):
+    def __init_subclass__(cls, **defaults):
         names = cls.__slots__
         cls.__match_args__ = names
         cls.__dataclass_fields__ = dict.fromkeys(names)
@@ -73,6 +81,10 @@ class Record:
         else:
             values = lambda r: ()
         cls._values = staticmethod(values)
+        if names and "__init__" not in cls.__dict__:
+            cls.__init__ = _derived_init(cls, names, defaults)
+        elif defaults:
+            raise TypeError(f"{cls.__name__}: defaults need a derived constructor")
 
     def __eq__(self, other):
         if self is other:
@@ -98,9 +110,61 @@ class Record:
         return self.__class__, self._values(self)
 
 
-def slot_setters(cls) -> list:
-    """The ``__set__`` of each of cls's slot descriptors, in field order."""
-    return [getattr(cls, name).__set__ for name in cls.__slots__]
+# Constructor templates, one per field count.  s0, s1, ... are not names of
+# this module: each derived copy runs with its own globals, which bind them
+# to the setters of its class's slot descriptors (_derived_init).
+
+
+def _init1(self, a):
+    s0(self, a)
+
+
+def _init2(self, a, b):
+    s0(self, a)
+    s1(self, b)
+
+
+def _init3(self, a, b, c):
+    s0(self, a)
+    s1(self, b)
+    s2(self, c)
+
+
+def _init4(self, a, b, c, d):
+    s0(self, a)
+    s1(self, b)
+    s2(self, c)
+    s3(self, d)
+
+
+def _init5(self, a, b, c, d, e):
+    s0(self, a)
+    s1(self, b)
+    s2(self, c)
+    s3(self, d)
+    s4(self, e)
+
+
+_INITS = {1: _init1, 2: _init2, 3: _init3, 4: _init4, 5: _init5}
+
+
+def _derived_init(cls, names: tuple, defaults: dict):
+    """cls's constructor: the template for len(names) fields with its
+    parameters named after them and its last len(defaults) parameters
+    defaulting to the given values."""
+    if len(names) not in _INITS:
+        raise TypeError(f"{cls.__name__}: {len(names)} fields need an __init__")
+    tail = names[len(names) - len(defaults):]
+    if set(defaults) != set(tail):
+        raise TypeError(f"{cls.__name__}: defaults {sorted(defaults)} are not trailing fields")
+    code = _INITS[len(names)].__code__.replace(co_varnames=("self", *names))
+    setters = {f"s{i}": getattr(cls, n).__set__ for i, n in enumerate(names)}
+    init = FunctionType(code, setters, "__init__", tuple(defaults[n] for n in tail) or None)
+    # argument errors name the function by __qualname__; the code's own
+    # co_qualname exists only from Python 3.11
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
 
 
 # ---------------------------------------------------------------------------
@@ -124,23 +188,9 @@ class Unit(Record):
 class Arrow(Record):
     __slots__ = ("dom", "cod")
 
-    def __init__(self, dom: SimpleType, cod: SimpleType):
-        _Arrow_dom(self, dom)
-        _Arrow_cod(self, cod)
-
-
-_Arrow_dom, _Arrow_cod = slot_setters(Arrow)
-
 
 class Prod(Record):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: SimpleType, right: SimpleType):
-        _Prod_left(self, left)
-        _Prod_right(self, right)
-
-
-_Prod_left, _Prod_right = slot_setters(Prod)
 
 
 SimpleType = Union[Nat, Unit, Arrow, Prod]
@@ -156,65 +206,25 @@ UNIT = Unit()
 class Var(Record):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        _Var_name(self, name)
-
-
-[_Var_name] = slot_setters(Var)
-
 
 class Lam(Record):
     __slots__ = ("var", "sort", "body")
-
-    def __init__(self, var: str, sort: SimpleType, body: Term):
-        _Lam_var(self, var)
-        _Lam_sort(self, sort)
-        _Lam_body(self, body)
-
-
-_Lam_var, _Lam_sort, _Lam_body = slot_setters(Lam)
 
 
 class App(Record):
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: Term, arg: Term):
-        _App_fn(self, fn)
-        _App_arg(self, arg)
-
-
-_App_fn, _App_arg = slot_setters(App)
-
 
 class Pair(Record):
     __slots__ = ("fst", "snd")
-
-    def __init__(self, fst: Term, snd: Term):
-        _Pair_fst(self, fst)
-        _Pair_snd(self, snd)
-
-
-_Pair_fst, _Pair_snd = slot_setters(Pair)
 
 
 class Proj1(Record):
     __slots__ = ("arg",)
 
-    def __init__(self, arg: Term):
-        _Proj1_arg(self, arg)
-
-
-[_Proj1_arg] = slot_setters(Proj1)
-
 
 class Proj2(Record):
     __slots__ = ("arg",)
-
-    def __init__(self, arg: Term):
-        _Proj2_arg(self, arg)
-
-
-[_Proj2_arg] = slot_setters(Proj2)
 
 
 class Star(Record):
@@ -227,9 +237,6 @@ class Zero(Record):
 
 class Succ(Record):
     __slots__ = ("arg",)
-
-    def __init__(self, arg: Term):
-        _Succ_arg(self, arg)
 
     # a numeral nests one Succ per unit, deeper than the Python stack allows
     # Record's recursive __eq__ and __hash__, so these walk the chain
@@ -251,20 +258,8 @@ class Succ(Record):
         return hash((k, t))
 
 
-[_Succ_arg] = slot_setters(Succ)
-
-
 class Rec(Record):
     __slots__ = ("sort", "scrut", "base", "step")
-
-    def __init__(self, sort: SimpleType, scrut: Term, base: Term, step: Term):
-        _Rec_sort(self, sort)
-        _Rec_scrut(self, scrut)
-        _Rec_base(self, base)
-        _Rec_step(self, step)
-
-
-_Rec_sort, _Rec_scrut, _Rec_base, _Rec_step = slot_setters(Rec)
 
 
 Term = Union[Var, Lam, App, Pair, Proj1, Proj2, Star, Zero, Succ, Rec]
@@ -433,80 +428,29 @@ class Bot(Record):
 class Eq0(Record):
     __slots__ = ("lhs", "rhs")
 
-    def __init__(self, lhs: Term, rhs: Term):
-        _Eq0_lhs(self, lhs)
-        _Eq0_rhs(self, rhs)
-
-
-_Eq0_lhs, _Eq0_rhs = slot_setters(Eq0)
-
 
 class PredApp(Record):
     __slots__ = ("sym", "args")
-
-    def __init__(self, sym: str, args: tuple):
-        _PredApp_sym(self, sym)
-        _PredApp_args(self, args)
-
-
-_PredApp_sym, _PredApp_args = slot_setters(PredApp)
 
 
 class And(Record):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula):
-        _And_left(self, left)
-        _And_right(self, right)
-
-
-_And_left, _And_right = slot_setters(And)
-
 
 class Or(Record):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula):
-        _Or_left(self, left)
-        _Or_right(self, right)
-
-
-_Or_left, _Or_right = slot_setters(Or)
 
 
 class Imp(Record):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula):
-        _Imp_left(self, left)
-        _Imp_right(self, right)
-
-
-_Imp_left, _Imp_right = slot_setters(Imp)
-
 
 class Forall(Record):
     __slots__ = ("var", "sort", "body")
 
-    def __init__(self, var: str, sort: SimpleType, body: Formula):
-        _Forall_var(self, var)
-        _Forall_sort(self, sort)
-        _Forall_body(self, body)
-
-
-_Forall_var, _Forall_sort, _Forall_body = slot_setters(Forall)
-
 
 class Exists(Record):
     __slots__ = ("var", "sort", "body")
-
-    def __init__(self, var: str, sort: SimpleType, body: Formula):
-        _Exists_var(self, var)
-        _Exists_sort(self, sort)
-        _Exists_body(self, body)
-
-
-_Exists_var, _Exists_sort, _Exists_body = slot_setters(Exists)
 
 
 Formula = Union[Bot, Eq0, PredApp, And, Or, Imp, Forall, Exists]
@@ -623,96 +567,37 @@ def alpha_eq_formula(a: Formula, b: Formula) -> bool:
 class Hyp(Record):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        _Hyp_name(self, name)
-
-
-[_Hyp_name] = slot_setters(Hyp)
-
 
 class PPair(Record):
     __slots__ = ("fst", "snd")
-
-    def __init__(self, fst: ProofTerm, snd: ProofTerm):
-        _PPair_fst(self, fst)
-        _PPair_snd(self, snd)
-
-
-_PPair_fst, _PPair_snd = slot_setters(PPair)
 
 
 class Fst(Record):
     __slots__ = ("arg",)
 
-    def __init__(self, arg: ProofTerm):
-        _Fst_arg(self, arg)
-
-
-[_Fst_arg] = slot_setters(Fst)
-
 
 class Snd(Record):
     __slots__ = ("arg",)
-
-    def __init__(self, arg: ProofTerm):
-        _Snd_arg(self, arg)
-
-
-[_Snd_arg] = slot_setters(Snd)
 
 
 class Inl(Record):
     __slots__ = ("arg",)
 
-    def __init__(self, arg: ProofTerm):
-        _Inl_arg(self, arg)
-
-
-[_Inl_arg] = slot_setters(Inl)
-
 
 class Inr(Record):
     __slots__ = ("arg",)
-
-    def __init__(self, arg: ProofTerm):
-        _Inr_arg(self, arg)
-
-
-[_Inr_arg] = slot_setters(Inr)
 
 
 class Case(Record):
     __slots__ = ("scrut", "left_name", "left", "right_name", "right")
 
-    def __init__(self, scrut: ProofTerm, left_name: str, left: ProofTerm, right_name: str,
-                 right: ProofTerm):
-        _Case_scrut(self, scrut)
-        _Case_left_name(self, left_name)
-        _Case_left(self, left)
-        _Case_right_name(self, right_name)
-        _Case_right(self, right)
-
-
-_Case_scrut, _Case_left_name, _Case_left, _Case_right_name, _Case_right = slot_setters(Case)
-
 
 class PLam(Record):
     __slots__ = ("hyp", "body")
 
-    def __init__(self, hyp: str, body: ProofTerm):
-        _PLam_hyp(self, hyp)
-        _PLam_body(self, body)
-
-
-_PLam_hyp, _PLam_body = slot_setters(PLam)
-
 
 class PApp(Record):
     __slots__ = ("fn", "arg")
-
-    def __init__(self, fn: ProofTerm, arg: ProofTerm):
-        _PApp_fn(self, fn)
-        _PApp_arg(self, arg)
 
     # normal forms such as f (g (... a)) nest one PApp per application in
     # the argument, deeper than the Python stack allows Record's recursive
@@ -737,95 +622,36 @@ class PApp(Record):
         return hash((tuple(fns), t))
 
 
-_PApp_fn, _PApp_arg = slot_setters(PApp)
-
-
 class TLam(Record):
     __slots__ = ("var", "body")
-
-    def __init__(self, var: str, body: ProofTerm):
-        _TLam_var(self, var)
-        _TLam_body(self, body)
-
-
-_TLam_var, _TLam_body = slot_setters(TLam)
 
 
 class TApp(Record):
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: ProofTerm, arg: Term):
-        _TApp_fn(self, fn)
-        _TApp_arg(self, arg)
-
-
-_TApp_fn, _TApp_arg = slot_setters(TApp)
-
 
 class ExPair(Record):
     __slots__ = ("witness", "body")
-
-    def __init__(self, witness: Term, body: ProofTerm):
-        _ExPair_witness(self, witness)
-        _ExPair_body(self, body)
-
-
-_ExPair_witness, _ExPair_body = slot_setters(ExPair)
 
 
 class Dest(Record):
     __slots__ = ("scrut", "var", "hyp", "body")
 
-    def __init__(self, scrut: ProofTerm, var: str, hyp: str, body: ProofTerm):
-        _Dest_scrut(self, scrut)
-        _Dest_var(self, var)
-        _Dest_hyp(self, hyp)
-        _Dest_body(self, body)
-
-
-_Dest_scrut, _Dest_var, _Dest_hyp, _Dest_body = slot_setters(Dest)
-
 
 class Efq(Record):
     __slots__ = ("arg",)
-
-    def __init__(self, arg: ProofTerm):
-        _Efq_arg(self, arg)
-
-
-[_Efq_arg] = slot_setters(Efq)
 
 
 class Reset(Record):
     __slots__ = ("body",)
 
-    def __init__(self, body: ProofTerm):
-        _Reset_body(self, body)
-
-
-[_Reset_body] = slot_setters(Reset)
-
 
 class Shift(Record):
     __slots__ = ("hyp", "body")
 
-    def __init__(self, hyp: str, body: ProofTerm):
-        _Shift_hyp(self, hyp)
-        _Shift_body(self, body)
-
-
-_Shift_hyp, _Shift_body = slot_setters(Shift)
-
 
 class Ascribe(Record):
     __slots__ = ("body", "formula")
-
-    def __init__(self, body: ProofTerm, formula: Formula):
-        _Ascribe_body(self, body)
-        _Ascribe_formula(self, formula)
-
-
-_Ascribe_body, _Ascribe_formula = slot_setters(Ascribe)
 
 
 ProofTerm = Union[
@@ -1097,11 +923,7 @@ class Signature(Record):
 
     __slots__ = ("predicates",)
 
-    def __init__(self, predicates: Mapping[str, tuple]):
-        _Signature_predicates(self, predicates)
-
     def arity(self, sym: str):
         return self.predicates.get(sym)
 
 
-[_Signature_predicates] = slot_setters(Signature)

@@ -11,7 +11,7 @@ from .parser import parse_formula, parse_proof
 from .syntax import (
     And, App, Arrow, BOT, Eq0, Exists, Forall, Formula, Imp, KernelError, NAT,
     ProofTerm, Record, Signature, SimpleType, STAR, Succ, Term, Var, ZERO, neg,
-    slot_setters, subst_formula,
+    subst_formula,
 )
 from .typecheck import Annotation, CheckReport, Context, check_proof
 
@@ -111,22 +111,13 @@ class TheoremEntry(Record):
                  goal: Formula, description: str,
                  axiom_realizers: Optional[Mapping[str, Term]] = None,
                  unrealizable: frozenset = frozenset()):
-        _TheoremEntry_name(self, name)
-        _TheoremEntry_context(self, context)
-        _TheoremEntry_annotation(self, annotation)
-        _TheoremEntry_proof(self, proof)
-        _TheoremEntry_goal(self, goal)
-        _TheoremEntry_description(self, description)
-        _TheoremEntry_axiom_realizers(self, {} if axiom_realizers is None else axiom_realizers)
-        _TheoremEntry_unrealizable(self, unrealizable)
+        values = (name, context, annotation, proof, goal, description,
+                  {} if axiom_realizers is None else axiom_realizers, unrealizable)
+        for field, value in zip(self.__slots__, values):
+            object.__setattr__(self, field, value)
 
     def check(self, sig: Signature = LIBRARY_SIGNATURE) -> CheckReport:
         return check_proof(sig, self.context, self.annotation, self.proof, self.goal)
-
-
-(_TheoremEntry_name, _TheoremEntry_context, _TheoremEntry_annotation, _TheoremEntry_proof,
- _TheoremEntry_goal, _TheoremEntry_description, _TheoremEntry_axiom_realizers,
- _TheoremEntry_unrealizable) = slot_setters(TheoremEntry)
 
 
 def _ctx(**hyps: str) -> Context:

@@ -14,7 +14,7 @@ from .printer import print_type
 from .syntax import (
     And, App, Arrow, Bot, Eq0, Exists, Forall, Formula, Imp, KernelError, NAT, Or,
     PredApp, Prod, Proj1, Proj2, Record, Signature, SimpleType, Term, UNIT, Var, ZERO,
-    fresh_name, fv_formula, fv_term, is_prime, neg, slot_setters, subst_formula,
+    fresh_name, fv_formula, fv_term, is_prime, neg, subst_formula,
 )
 from .typecheck import SortError, infer_term_type
 
@@ -164,13 +164,6 @@ def mrt_formula(sig: Signature, ctx_vars: Mapping[str, SimpleType], t: Term, a: 
 
 class DiaTypes(Record):
     __slots__ = ("witness", "challenge")
-
-    def __init__(self, witness: SimpleType, challenge: SimpleType):
-        _DiaTypes_witness(self, witness)
-        _DiaTypes_challenge(self, challenge)
-
-
-_DiaTypes_witness, _DiaTypes_challenge = slot_setters(DiaTypes)
 
 
 def dia_types(a: Formula) -> DiaTypes:

@@ -40,7 +40,7 @@ from .syntax import (
     NAT, Or, Pair, PApp, PLam, PPair, PredApp, ProofTerm, Proj1, Proj2,
     Prod, Rec, Record, Reset, Shift, Signature, SimpleType, Snd, Star, Succ,
     Term, TApp, TLam, UNIT, Var, Zero, alpha_eq_formula, fv_formula,
-    slot_setters, subst_formula,
+    subst_formula,
 )
 
 
@@ -62,17 +62,14 @@ class Context(Record):
 
     def __init__(self, term_vars: Optional[Mapping[str, SimpleType]] = None,
                  hyps: Optional[Mapping[str, Formula]] = None):
-        _Context_term_vars(self, {} if term_vars is None else term_vars)
-        _Context_hyps(self, {} if hyps is None else hyps)
+        object.__setattr__(self, "term_vars", {} if term_vars is None else term_vars)
+        object.__setattr__(self, "hyps", {} if hyps is None else hyps)
 
     def with_var(self, name: str, sort: SimpleType) -> "Context":
         return Context({**self.term_vars, name: sort}, self.hyps)
 
     def with_hyp(self, name: str, formula: Formula) -> "Context":
         return Context(self.term_vars, {**self.hyps, name: formula})
-
-
-_Context_term_vars, _Context_hyps = slot_setters(Context)
 
 
 class _Sorts(dict):
@@ -202,32 +199,12 @@ def wf_formula(sig: Signature, term_vars: Mapping[str, SimpleType], a: Formula) 
 # Proof checking
 
 
-class Derivation(Record):
+class Derivation(Record, children=()):
     __slots__ = ("rule", "annotation", "subject", "goal", "children")
 
-    def __init__(self, rule: str, annotation: Annotation, subject: ProofTerm, goal: Formula,
-                 children: tuple = ()):
-        _Derivation_rule(self, rule)
-        _Derivation_annotation(self, annotation)
-        _Derivation_subject(self, subject)
-        _Derivation_goal(self, goal)
-        _Derivation_children(self, children)
 
-
-(_Derivation_rule, _Derivation_annotation, _Derivation_subject, _Derivation_goal,
- _Derivation_children) = slot_setters(Derivation)
-
-
-class CheckFailure(Record):
+class CheckFailure(Record, expected=None, got=None):
     __slots__ = ("kind", "path", "message", "expected", "got")
-
-    def __init__(self, kind: str, path: tuple, message: str, expected: Optional[str] = None,
-                 got: Optional[str] = None):
-        _CheckFailure_kind(self, kind)
-        _CheckFailure_path(self, path)
-        _CheckFailure_message(self, message)
-        _CheckFailure_expected(self, expected)
-        _CheckFailure_got(self, got)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "path": list(self.path), "message": self.message}
@@ -238,18 +215,8 @@ class CheckFailure(Record):
         return out
 
 
-(_CheckFailure_kind, _CheckFailure_path, _CheckFailure_message, _CheckFailure_expected,
- _CheckFailure_got) = slot_setters(CheckFailure)
-
-
-class CheckReport(Record):
-    __slots__ = ("status", "derivation", "error")
-
-    def __init__(self, status: str, derivation: Optional[Derivation] = None,
-                 error: Optional[CheckFailure] = None):
-        _CheckReport_status(self, status)  # 'ok' | 'error'
-        _CheckReport_derivation(self, derivation)
-        _CheckReport_error(self, error)
+class CheckReport(Record, derivation=None, error=None):
+    __slots__ = ("status", "derivation", "error")  # status: 'ok' | 'error'
 
     @property
     def ok(self) -> bool:
@@ -260,9 +227,6 @@ class CheckReport(Record):
         if self.error is not None:
             out["error"] = self.error.to_dict()
         return out
-
-
-_CheckReport_status, _CheckReport_derivation, _CheckReport_error = slot_setters(CheckReport)
 
 
 class _Fail(KernelError):

@@ -3,7 +3,7 @@ verbatim copies of the 40 classes of ``syntax.py``, the seven of
 ``parser.py``, the four of ``typecheck.py`` and ``ExtractionEnv``,
 ``TheoremEntry`` and ``DiaTypes``, but for the imports.  The constants
 ``NAT``, ``UNIT``, ``STAR``, ``ZERO`` and ``BOT`` are kept beside their
-classes.  ``tests/test_nodes.py`` compares the hand-written classes with
+classes.  ``tests/test_nodes.py`` compares the kernel's record classes with
 these on ``repr``, equality, hashing, pattern matching, construction,
 immutability, field names and copying."""
 

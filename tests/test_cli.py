@@ -129,6 +129,30 @@ def test_eval_fuel_and_env(monkeypatch, tmp_path):
     assert "p ~> a" in out
 
 
+@pytest.mark.parametrize("value", ["abc", "", "1.5"])
+def test_eval_fuel_env_not_an_integer_is_usage_exit(monkeypatch, value):
+    monkeypatch.setenv("DNSK_FUEL", value)
+    code, out, err = invoke("eval", sample("dns20.dnsk"))
+    assert code == 2
+    assert err == f"dnsk: DNSK_FUEL must be an integer, got {value!r}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("realizer, message", [
+    ("zz", "unbound variable 'zz'"),
+    ("S 0", "realizer has sort nat, formula wants unit"),
+])
+def test_extract_rejects_an_ill_sorted_axiom_realizer(tmp_path, realizer, message):
+    # the realizer of 0 = 0 has sort unit; the proof after p still extracts
+    src = tmp_path / "axiom.dnsk"
+    src.write_text(f"axiom e : 0 = 0 := {realizer}.\naxiom f : 0 = 0 := star.\n"
+                   "proof p : 0 = 0 := e.\nproof q : 0 = 0 := f.\n")
+    code, out, err = invoke("extract", str(src))
+    assert code == 1
+    assert err == ""
+    assert out == f"p: ERROR RealizerTypeMismatch: {message}\nq : unit\nq := star\n"
+
+
 def test_library_list_and_check_all():
     code, out, _ = invoke("library", "--list")
     assert code == 0

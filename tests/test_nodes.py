@@ -3,9 +3,10 @@ against the dataclasses they replaced (``reference_nodes``).  For every
 class, on two samples that differ in every field: the same ``repr``, the
 same ``==`` and ``!=`` (also against a record of another class with the same
 fields, and against a non-record), the same hash, positional ``match``,
-keyword construction, the same answer to assignment and deletion, the same
-``__dataclass_fields__`` names, and ``pickle``/``copy`` round trips that
-give an equal object.
+keyword construction, the same constructor signature, the same answer to
+assignment and deletion, the same ``__dataclass_fields__`` names,
+``pickle``/``copy`` round trips that give an equal object, and ``pprint``
+output equal to the ``repr``.
 
 It needs only the standard library, so it also runs without pytest:
 
@@ -14,13 +15,15 @@ It needs only the standard library, so it also runs without pytest:
 
 import copy
 import dataclasses
+import inspect
 import pickle
+import pprint
 import sys
 import types
 
 import reference_nodes as ref
 from dnsk import extract, parser, syntax, theorems, translate, typecheck
-from dnsk.syntax import Record
+from dnsk.syntax import App, Record, numeral
 from dnsk.typecheck import Annotation
 
 MODULES = (syntax, parser, typecheck, extract, theorems, translate)
@@ -252,6 +255,23 @@ def test_keyword_construction():
         n_required = sum(1 for f in dataclasses.fields(rcls)
                          if f.default is f.default_factory is dataclasses.MISSING)
         assert repr(cls(*a[:n_required])) == repr(rcls(*ra[:n_required])), name
+        # the same parameters in the same order, with the same plain
+        # defaults; a default_factory field defaults to None instead
+        params = list(inspect.signature(cls).parameters.values())
+        assert [p.name for p in params] == list(inspect.signature(rcls).parameters), name
+        for p, f in zip(params, dataclasses.fields(rcls)):
+            assert p.kind is p.POSITIONAL_OR_KEYWORD, (name, p)
+            if f.default is not dataclasses.MISSING:
+                assert (type(p.default), p.default) == (type(f.default), f.default), (name, p)
+            elif f.default_factory is not dataclasses.MISSING:
+                assert p.default is None, (name, p)
+            else:
+                assert p.default is p.empty, (name, p)
+        # one positional argument too many, or one required one missing
+        wrong = [(*a, a[0] if a else 0)] + ([a[:n_required - 1]] if n_required else [])
+        for args in wrong:
+            assert outcome(lambda: cls(*args)) == ("raises", TypeError), (name, len(args))
+            assert outcome(lambda: rcls(*args)) == ("raises", TypeError), (name, len(args))
 
 
 def test_assignment_and_deletion():
@@ -279,6 +299,30 @@ def test_pickle_and_copy_round_trips():
                 assert type(v) is cls and v == u and repr(v) == repr(u), (name, protocol)
             for v in (copy.copy(u), copy.deepcopy(u)):
                 assert type(v) is cls and v == u and repr(v) == repr(u), name
+
+
+def test_a_record_definition_the_constructor_cannot_serve_is_refused():
+    def define(body, **defaults):
+        return outcome(lambda: type("R", (Record,), body, **defaults))
+    assert define({"__slots__": ("a", "b")}, a=1) == ("raises", TypeError)
+    assert define({"__slots__": ("a",)}, b=1) == ("raises", TypeError)
+    assert define({"__slots__": tuple("abcdef")}) == ("raises", TypeError)
+    assert define({"__slots__": ("a",), "__init__": lambda self: None}, a=1) == \
+        ("raises", TypeError)
+    assert define({"__slots__": ("a", "b")}, b=1)[0] == "ok"
+    R = define({"__slots__": ("a", "b", "c")}, c=3, b=2)[1]
+    assert (R(1).b, R(1).c, R(1, c=4).c) == (2, 3, 4)
+
+
+def test_pprint_prints_a_record_by_its_repr():
+    # a record is a dataclass to dataclasses.is_dataclass, but its repr is its own
+    wide = App(numeral(30), numeral(30))
+    assert pprint.pformat(wide) == repr(wide)
+    for name in NAMES:
+        cls, (a, b) = getattr(NEW, name), NEW_SAMPLES[name]
+        for vals in (a, b):
+            u = cls(*vals)
+            assert pprint.pformat(u, width=1) == repr(u), name
 
 
 TESTS = [v for k, v in sorted(globals().items()) if k.startswith("test_")]
