@@ -9,10 +9,10 @@ bounded formula evaluation), theorems (the checked library), cli.
 
 from .syntax import (
     And, App, Arrow, Ascribe, BOT, Bot, Case, Dest, Efq, Eq0, ExPair, Exists,
-    Forall, Formula, Hyp, Imp, KernelError, Lam, NAT, Nat, Or, PApp, PLam,
-    PPair, Pair, PredApp, ProofTerm, Prod, Proj1, Proj2, Rec, Reset, Shift,
-    Signature, SimpleType, STAR, Star, Succ, TApp, TLam, Term, UNIT, Unit,
-    Var, ZERO, Zero, Fst, Snd, Inl, Inr,
+    Forall, Formula, Hyp, Imp, KernelError, KindedError, Lam, NAT, Nat, Or,
+    PApp, PLam, PPair, Pair, PredApp, ProofTerm, Prod, Proj1, Proj2, Rec,
+    Reset, Shift, Signature, SimpleType, STAR, Star, Succ, TApp, TLam, Term,
+    UNIT, Unit, Var, ZERO, Zero, Fst, Snd, Inl, Inr,
     alpha_eq_formula, alpha_eq_proof, alpha_eq_term, contains_control,
     contains_shift, fresh_name, fv_formula, fv_term, is_prime, neg, numeral,
     numeral_value, subst_formula, subst_term,

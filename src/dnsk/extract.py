@@ -11,7 +11,7 @@ from typing import Mapping, Optional
 
 from .syntax import (
     App, Arrow, Ascribe, Case, Dest, Efq, ExPair, Forall, Formula, Fst, Hyp, Imp, Inl, Inr,
-    KernelError, Lam, NAT, Or, PApp, Pair, PLam, PPair, Prod, Proj1, Proj2, Rec, Record, Reset,
+    KindedError, Lam, NAT, Or, PApp, Pair, PLam, PPair, Prod, Proj1, Proj2, Rec, Record, Reset,
     Shift, SimpleType, Snd, STAR, Succ, TApp, Term, TLam, Unit, Var, ZERO, fresh_name,
     fv_formula, fv_term, node_termvars, subst_term,
 )
@@ -19,10 +19,8 @@ from .translate import mr_type
 from .typecheck import Derivation
 
 
-class ExtractionError(KernelError):
-    def __init__(self, kind: str, message: str):
-        super().__init__(message)
-        self.kind = kind
+class ExtractionError(KindedError):
+    pass
 
 
 class ExtractionEnv(Record):

@@ -2,9 +2,26 @@
 
 The output uses exactly the concrete grammar accepted by the parser, and
 ``parse(print(v))`` is alpha-equal to ``v`` for all four categories.
+
+Each category has one walker, ``_type``, ``_term``, ``_formula`` and
+``_proof``, that dispatches on ``type(node)`` and returns the node's text
+without outer parentheses together with the precedence level that text can
+stand at; the caller parenthesizes it where it stands at a higher precedence.
+One call of a ``print_*`` function keeps ``memos``, one dict per category in
+the order sort, term, formula, proof, that maps id(node) -> (text, level) for
+the compound nodes it renders, so a subtree shared in the node graph (one
+witness sort in two places of a ``dia_types`` sort, say) is rendered once.
+The memos are apart so that a node met in the wrong category raises
+``TypeError`` even after it was rendered in its own.  The root holds every
+node for the length of the call, so no id is reused.
+``Succ`` chains, chains of proof prefix operators and the left spines of
+applications are rendered in loops, so their length does not meet the
+recursion limit.
 """
 
 from __future__ import annotations
+
+import sys
 
 from .syntax import (
     And, App, Arrow, Ascribe, Bot, Case, Dest, Efq, Eq0, ExPair, Exists,
@@ -13,141 +30,243 @@ from .syntax import (
     SimpleType, Snd, Star, Succ, Term, TApp, TLam, Unit, Var, Zero,
 )
 
+# the level of text that stands unparenthesized at any precedence
+_ATOM = sys.maxsize
+_NAT = ("nat", _ATOM)
+_UNIT = ("unit", _ATOM)
+_ZERO = ("0", _ATOM)
+_STAR = ("star", _ATOM)
+_BOT = ("bot", _ATOM)
+# proof prefix operators, which take their argument at their own level
+_PREFIX = {Inl: "inl ", Inr: "inr ", Fst: "fst ", Snd: "snd ", Efq: "efq ", Reset: "reset "}
+
 
 def print_type(t: SimpleType, prec: int = 0) -> str:
-    # precedence: 0 arrow, 1 product, 2 atom
-    match t:
-        case Nat():
-            return "nat"
-        case Unit():
-            return "unit"
-        case Arrow(d, c):
-            s = f"{print_type(d, 1)} -> {print_type(c, 0)}"
-            return f"({s})" if prec > 0 else s
-        case Prod(l, r):
-            s = f"{print_type(l, 2)} * {print_type(r, 1)}"
-            return f"({s})" if prec > 1 else s
-    raise TypeError(f"not a sort: {t!r}")
+    text, level = _type(t, ({}, {}, {}, {}))
+    return text if level >= prec else f"({text})"
 
 
 def print_term(t: Term, prec: int = 0) -> str:
-    # precedence: 0 fun, 1 application, 2 postfix/atom
-    match t:
-        case Var(x):
-            return x
-        case Star():
-            return "star"
-        case Zero():
-            return "0"
-        case Lam(x, s, b):
-            out = f"fun ({x}:{print_type(s)}) => {print_term(b, 0)}"
-            return f"({out})" if prec > 0 else out
-        case App(f, a):
-            out = f"{print_term(f, 1)} {print_term(a, 2)}"
-            return f"({out})" if prec > 1 else out
-        case Succ(a):
-            out = f"S {print_term(a, 2)}"
-            return f"({out})" if prec > 1 else out
-        case Proj1(a):
-            return f"{print_term(a, 2)}.1"
-        case Proj2(a):
-            return f"{print_term(a, 2)}.2"
-        case Pair(a, b):
-            return f"({print_term(a, 0)}, {print_term(b, 0)})"
-        case Rec(s, n, b, st):
-            return (
-                f"rec[{print_type(s)}]({print_term(n, 0)}; "
-                f"{print_term(b, 0)}; {print_term(st, 0)})"
-            )
-    raise TypeError(f"not a term: {t!r}")
+    text, level = _term(t, ({}, {}, {}, {}))
+    return text if level >= prec else f"({text})"
 
 
 def print_formula(a: Formula, prec: int = 0) -> str:
-    # precedence: 0 quantifiers, 1 ->, 2 \/, 3 /\, 4 ~, 5 atom
-    match a:
-        case Bot():
-            return "bot"
-        case Eq0(l, r):
-            # an application on the left of '=' would read as a predicate
-            # application, so it is parenthesized
-            lhs = print_term(l, 2) if isinstance(l, App) else print_term(l, 1)
-            return f"{lhs} = {print_term(r, 1)}"
-        case PredApp(p, args):
-            if not args:
-                return p
-            return f"{p}({', '.join(print_term(t, 0) for t in args)})"
-        case Imp(l, Bot()):
-            out = f"~{print_formula(l, 4)}"
-            return f"({out})" if prec > 4 else out
-        case Imp(l, r):
-            out = f"{print_formula(l, 2)} -> {print_formula(r, 1)}"
-            return f"({out})" if prec > 1 else out
-        case Or(l, r):
-            out = f"{print_formula(l, 3)} \\/ {print_formula(r, 2)}"
-            return f"({out})" if prec > 2 else out
-        case And(l, r):
-            out = f"{print_formula(l, 4)} /\\ {print_formula(r, 3)}"
-            return f"({out})" if prec > 3 else out
-        case Forall(x, s, b):
-            out = f"forall {x}:{print_type(s)}. {print_formula(b, 0)}"
-            return f"({out})" if prec > 0 else out
-        case Exists(x, s, b):
-            out = f"exists {x}:{print_type(s)}. {print_formula(b, 0)}"
-            return f"({out})" if prec > 0 else out
-    raise TypeError(f"not a formula: {a!r}")
+    text, level = _formula(a, ({}, {}, {}, {}))
+    return text if level >= prec else f"({text})"
 
 
 def print_proof(p: ProofTerm, prec: int = 0) -> str:
-    # precedence: 0 binders, 1 application, 2 prefix, 3 atom
-    match p:
-        case Hyp(a):
-            return a
-        case PLam(a, b):
-            out = f"fun {a} => {print_proof(b, 0)}"
-            return f"({out})" if prec > 0 else out
-        case TLam(x, b):
-            out = f"tfun {x} => {print_proof(b, 0)}"
-            return f"({out})" if prec > 0 else out
-        case Shift(k, b):
-            out = f"shift {k} => {print_proof(b, 0)}"
-            return f"({out})" if prec > 0 else out
-        case Case(sc, a1, b1, a2, b2):
-            out = (
-                f"case {print_proof(sc, 1)} of {a1} => {print_proof(b1, 0)}"
-                f" | {a2} => {print_proof(b2, 0)}"
-            )
-            return f"({out})" if prec > 0 else out
-        case Dest(sc, x, a, b):
-            out = f"dest {print_proof(sc, 1)} as [{x}, {a}] in {print_proof(b, 0)}"
-            return f"({out})" if prec > 0 else out
-        case PApp(f, a):
-            out = f"{print_proof(f, 1)} {print_proof(a, 2)}"
-            return f"({out})" if prec > 1 else out
-        case TApp(f, t):
-            out = f"{print_proof(f, 1)} @ {print_term(t, 2)}"
-            return f"({out})" if prec > 1 else out
-        case Fst(b):
-            out = f"fst {print_proof(b, 2)}"
-            return f"({out})" if prec > 2 else out
-        case Snd(b):
-            out = f"snd {print_proof(b, 2)}"
-            return f"({out})" if prec > 2 else out
-        case Inl(b):
-            out = f"inl {print_proof(b, 2)}"
-            return f"({out})" if prec > 2 else out
-        case Inr(b):
-            out = f"inr {print_proof(b, 2)}"
-            return f"({out})" if prec > 2 else out
-        case Efq(b):
-            out = f"efq {print_proof(b, 2)}"
-            return f"({out})" if prec > 2 else out
-        case Reset(b):
-            out = f"reset {print_proof(b, 2)}"
-            return f"({out})" if prec > 2 else out
-        case PPair(f, s):
-            return f"({print_proof(f, 0)}, {print_proof(s, 0)})"
-        case ExPair(t, b):
-            return f"[{print_term(t, 0)}, {print_proof(b, 0)}]"
-        case Ascribe(b, f):
-            return f"({print_proof(b, 0)} : {print_formula(f, 0)})"
-    raise TypeError(f"not a proof term: {p!r}")
+    text, level = _proof(p, ({}, {}, {}, {}))
+    return text if level >= prec else f"({text})"
+
+
+def _type(t: SimpleType, memos: tuple) -> tuple:
+    # levels: 0 arrow, 1 product, _ATOM atom
+    cls = type(t)
+    if cls is Unit:
+        return _UNIT
+    if cls is Nat:
+        return _NAT
+    memo = memos[0]
+    key = id(t)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if cls is Prod:
+        l, level = _type(t.left, memos)
+        if level < 2:
+            l = f"({l})"
+        r, level = _type(t.right, memos)
+        if level < 1:
+            r = f"({r})"
+        out = (f"{l} * {r}", 1)
+    elif cls is Arrow:
+        d, level = _type(t.dom, memos)
+        if level < 1:
+            d = f"({d})"
+        out = (f"{d} -> {_type(t.cod, memos)[0]}", 0)
+    else:
+        raise TypeError(f"not a sort: {t!r}")
+    memo[key] = out
+    return out
+
+
+def _term(t: Term, memos: tuple) -> tuple:
+    # levels: 0 fun, 1 application and S, _ATOM postfix and atom
+    cls = type(t)
+    if cls is Var:
+        return t.name, _ATOM
+    if cls is Zero:
+        return _ZERO
+    if cls is Star:
+        return _STAR
+    memo = memos[1]
+    key = id(t)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if cls is Proj2 or cls is Proj1:
+        a, level = _term(t.arg, memos)
+        if level < 2:
+            a = f"({a})"
+        out = (f"{a}.2" if cls is Proj2 else f"{a}.1", _ATOM)
+    elif cls is Succ:
+        n, a = 1, t.arg
+        while type(a) is Succ:
+            n, a = n + 1, a.arg
+        a, level = _term(a, memos)
+        if level < 2:
+            a = f"({a})"
+        out = ("S (" * (n - 1) + "S " + a + ")" * (n - 1), 1)
+    elif cls is App:
+        args, f = [], t
+        while type(f) is App:
+            args.append(f.arg)
+            f = f.fn
+        f, level = _term(f, memos)
+        parts = [f if level >= 1 else f"({f})"]
+        for a in reversed(args):
+            a, level = _term(a, memos)
+            parts.append(a if level >= 2 else f"({a})")
+        out = (" ".join(parts), 1)
+    elif cls is Lam:
+        out = (f"fun ({t.var}:{_type(t.sort, memos)[0]}) => {_term(t.body, memos)[0]}", 0)
+    elif cls is Pair:
+        out = (f"({_term(t.fst, memos)[0]}, {_term(t.snd, memos)[0]})", _ATOM)
+    elif cls is Rec:
+        out = (
+            f"rec[{_type(t.sort, memos)[0]}]({_term(t.scrut, memos)[0]}; "
+            f"{_term(t.base, memos)[0]}; {_term(t.step, memos)[0]})",
+            _ATOM,
+        )
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    memo[key] = out
+    return out
+
+
+def _formula(a: Formula, memos: tuple) -> tuple:
+    # levels: 0 quantifiers, 1 ->, 2 \/, 3 /\, 4 ~, _ATOM atom
+    cls = type(a)
+    if cls is Bot:
+        return _BOT
+    memo = memos[2]
+    key = id(a)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if cls is Imp:
+        l, level = _formula(a.left, memos)
+        if type(a.right) is Bot:
+            out = (f"~{l}" if level >= 4 else f"~({l})", 4)
+        else:
+            if level < 2:
+                l = f"({l})"
+            r, level = _formula(a.right, memos)
+            if level < 1:
+                r = f"({r})"
+            out = (f"{l} -> {r}", 1)
+    elif cls is PredApp:
+        if a.args:
+            out = (f"{a.sym}({', '.join([_term(t, memos)[0] for t in a.args])})", _ATOM)
+        else:
+            out = (a.sym, _ATOM)
+    elif cls is Eq0:
+        l, level = _term(a.lhs, memos)
+        # an application on the left of '=' would read as a predicate
+        # application, so it is parenthesized
+        if level < 1 or type(a.lhs) is App:
+            l = f"({l})"
+        r, level = _term(a.rhs, memos)
+        if level < 1:
+            r = f"({r})"
+        out = (f"{l} = {r}", _ATOM)
+    elif cls is And:
+        l, level = _formula(a.left, memos)
+        if level < 4:
+            l = f"({l})"
+        r, level = _formula(a.right, memos)
+        if level < 3:
+            r = f"({r})"
+        out = (f"{l} /\\ {r}", 3)
+    elif cls is Forall:
+        out = (f"forall {a.var}:{_type(a.sort, memos)[0]}. {_formula(a.body, memos)[0]}", 0)
+    elif cls is Exists:
+        out = (f"exists {a.var}:{_type(a.sort, memos)[0]}. {_formula(a.body, memos)[0]}", 0)
+    elif cls is Or:
+        l, level = _formula(a.left, memos)
+        if level < 3:
+            l = f"({l})"
+        r, level = _formula(a.right, memos)
+        if level < 2:
+            r = f"({r})"
+        out = (f"{l} \\/ {r}", 2)
+    else:
+        raise TypeError(f"not a formula: {a!r}")
+    memo[key] = out
+    return out
+
+
+def _proof(p: ProofTerm, memos: tuple) -> tuple:
+    # levels: 0 binders, 1 application, 2 prefix, _ATOM atom
+    cls = type(p)
+    if cls is Hyp:
+        return p.name, _ATOM
+    memo = memos[3]
+    key = id(p)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if cls is PLam:
+        out = (f"fun {p.hyp} => {_proof(p.body, memos)[0]}", 0)
+    elif cls is PApp or cls is TApp:
+        spine, f = [], p
+        while type(f) is PApp or type(f) is TApp:
+            spine.append(f)
+            f = f.fn
+        f, level = _proof(f, memos)
+        parts = [f if level >= 1 else f"({f})"]
+        for node in reversed(spine):
+            if type(node) is PApp:
+                a, level = _proof(node.arg, memos)
+                parts.append(f" {a}" if level >= 2 else f" ({a})")
+            else:
+                a, level = _term(node.arg, memos)
+                parts.append(f" @ {a}" if level >= 2 else f" @ ({a})")
+        out = ("".join(parts), 1)
+    elif cls is ExPair:
+        out = (f"[{_term(p.witness, memos)[0]}, {_proof(p.body, memos)[0]}]", _ATOM)
+    elif cls is TLam:
+        out = (f"tfun {p.var} => {_proof(p.body, memos)[0]}", 0)
+    elif cls is Ascribe:
+        out = (f"({_proof(p.body, memos)[0]} : {_formula(p.formula, memos)[0]})", _ATOM)
+    elif cls is PPair:
+        out = (f"({_proof(p.fst, memos)[0]}, {_proof(p.snd, memos)[0]})", _ATOM)
+    elif cls in _PREFIX:
+        words, b = [], p
+        while (word := _PREFIX.get(type(b))) is not None:
+            words.append(word)
+            b = b.body if type(b) is Reset else b.arg
+        b, level = _proof(b, memos)
+        out = ("".join(words) + (b if level >= 2 else f"({b})"), 2)
+    elif cls is Dest:
+        sc, level = _proof(p.scrut, memos)
+        if level < 1:
+            sc = f"({sc})"
+        out = (f"dest {sc} as [{p.var}, {p.hyp}] in {_proof(p.body, memos)[0]}", 0)
+    elif cls is Shift:
+        out = (f"shift {p.hyp} => {_proof(p.body, memos)[0]}", 0)
+    elif cls is Case:
+        sc, level = _proof(p.scrut, memos)
+        if level < 1:
+            sc = f"({sc})"
+        out = (
+            f"case {sc} of {p.left_name} => {_proof(p.left, memos)[0]}"
+            f" | {p.right_name} => {_proof(p.right, memos)[0]}",
+            0,
+        )
+    else:
+        raise TypeError(f"not a proof term: {p!r}")
+    memo[key] = out
+    return out

@@ -40,6 +40,16 @@ class KernelError(Exception):
     """Base class for every error raised by the kernel."""
 
 
+class KindedError(KernelError):
+    """A kernel error that names what went wrong in ``kind``
+    (``RealizerTypeMismatch`` and so on) besides its message, for the
+    ``ERROR <kind>`` lines of the command line."""
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind
+
+
 # ---------------------------------------------------------------------------
 # Records
 

@@ -36,8 +36,8 @@ from typing import Mapping, Optional
 from .printer import print_formula, print_type
 from .syntax import (
     And, App, Arrow, Ascribe, Bot, BOT, Case, Dest, Efq, Eq0, ExPair,
-    Exists, Forall, Formula, Fst, Hyp, Imp, Inl, Inr, KernelError, Lam,
-    NAT, Or, Pair, PApp, PLam, PPair, PredApp, ProofTerm, Proj1, Proj2,
+    Exists, Forall, Formula, Fst, Hyp, Imp, Inl, Inr, KernelError, KindedError,
+    Lam, NAT, Or, Pair, PApp, PLam, PPair, PredApp, ProofTerm, Proj1, Proj2,
     Prod, Rec, Record, Reset, Shift, Signature, SimpleType, Snd, Star, Succ,
     Term, TApp, TLam, UNIT, Var, Zero, alpha_eq_formula, fv_formula,
     subst_formula,
@@ -49,10 +49,8 @@ class Annotation(enum.Enum):
     BOT = "bot"
 
 
-class SortError(KernelError):
-    def __init__(self, kind: str, message: str):
-        super().__init__(message)
-        self.kind = kind
+class SortError(KindedError):
+    pass
 
 
 class Context(Record):

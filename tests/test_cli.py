@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from dnsk.cli import run
+from dnsk.cli import TRANSLATE_MODES, run
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 
@@ -211,3 +211,16 @@ def test_extract_matches_golden_output():
         with open(os.path.join(GOLDEN_EXTRACT, golden), "rb") as f:
             assert out.encode("utf-8") == f.read(), golden
         assert str(code) == expected[golden], golden
+
+
+GOLDEN_TRANSLATE = os.path.join(os.path.dirname(__file__), "golden", "translate")
+
+
+@pytest.mark.parametrize("mode", TRANSLATE_MODES)
+def test_translate_matches_golden_output(mode):
+    # stdout byte for byte of `dnsk translate --mode M` on the translations
+    # sample, recorded from the match-based printer and translations
+    code, out, _ = invoke("translate", "--mode", mode, sample("translations.dnsk"))
+    assert code == 0
+    with open(os.path.join(GOLDEN_TRANSLATE, f"{mode}.txt"), "rb") as f:
+        assert out.encode("utf-8") == f.read(), mode

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from dnsk.extract import ExtractionError
 from dnsk.parser import parse_formula, parse_type
 from dnsk.printer import print_formula
-from dnsk.syntax import NAT, UNIT, Var, fv_formula, neg
+from dnsk.syntax import NAT, UNIT, KernelError, KindedError, Var, fv_formula, neg
 from dnsk.translate import (
     TranslationError, dia_formula, dia_nn_simplify, dia_types, kuroda,
     kuroda_inner, mr_formula, mr_type, mrt_formula, spector_target,
@@ -141,3 +142,12 @@ def test_spector_target_shape():
     assert print_formula(out).startswith("forall ")
     with pytest.raises(TranslationError):
         spector_target(SIG, tr("P(x)"), "t")
+
+
+def test_kinded_errors_share_one_base():
+    for cls in (SortError, TranslationError, ExtractionError):
+        e = cls("RealizerTypeMismatch", "realizer has sort nat")
+        assert isinstance(e, KindedError) and isinstance(e, KernelError)
+        assert e.kind == "RealizerTypeMismatch"
+        assert str(e) == "realizer has sort nat" and e.args == ("realizer has sort nat",)
+    assert not issubclass(TranslationError, SortError)
