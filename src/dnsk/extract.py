@@ -65,10 +65,13 @@ _RULE_FORMS = {
 }
 
 
-def _cond(sort: SimpleType, flag: Term, if_zero: Term, if_nonzero: Term) -> Term:
+def _cond(sort: SimpleType, flag: Term, if_zero: Term, if_nonzero: Term, memo: dict) -> Term:
     """Select by a numeric flag, zero picking the first branch; built from
-    the recursor since the term language has no primitive conditional."""
-    step = Lam("_n", NAT, Lam("_r", sort, if_nonzero))
+    the recursor since the term language has no primitive conditional.  The
+    step's two binders avoid the free variables of the branch they scope
+    over (read through ``memo``, see syntax.fv_term)."""
+    free = fv_term(if_nonzero, memo)
+    step = Lam(fresh_name("_n", free), NAT, Lam(fresh_name("_r", free), sort, if_nonzero))
     return Rec(sort, flag, if_zero, step)
 
 
@@ -157,7 +160,7 @@ class _Extractor:
             right = self.extract(kids[2], {**local, case_node.right_name: v2})
             left = subst_term(left, v1, Proj1(Proj1(s)), self.memo)
             right = subst_term(right, v2, Proj2(Proj1(s)), self.memo)
-            return _cond(mr_type(goal, self.sorts), Proj2(s), left, right)
+            return _cond(mr_type(goal, self.sorts), Proj2(s), left, right, self.memo)
         if form is TApp:
             return App(self.extract(kids[0], local), d.subject.arg)
         if form is Fst:

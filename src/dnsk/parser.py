@@ -1,7 +1,17 @@
-"""Tokenizer and recursive-descent parser for the concrete grammar.
+"""Tokenizer and parser for the concrete grammar.
 
 Categories: sorts, terms, formulas, proof terms, and ``.dnsk`` source files.
 Unknown predicate symbols are accepted here and rejected later by checking.
+
+The parser reads chains in loops and recurses only where the text nests.
+The infix operators of sorts and formulas, one table that the printer reads
+too, are folded by precedence climbing on an explicit stack (Pratt, "Top
+down operator precedence", 1973), which also holds the pending ``~`` and
+quantifier prefixes.  A term reads its ``fun`` binders, ``S`` prefixes,
+atoms, projections and application spine in one loop, and a proof term its
+binders, prefix operators and spine; so a Python frame is spent only per
+parenthesis, bracket or ``rec`` (one per level in terms and proof terms,
+three in sorts and formulas) and per left branch of ``case``.
 
 Tokens are plain strings: ``tokenize`` is one regular expression run by
 ``findall``, and the parser compares texts.  No token keeps its position.
@@ -44,7 +54,15 @@ PUNCT = [
     "(", ")", "[", "]", ",", ";", ":", "*", "~", "=", "@", "|", ".",
 ]
 
+# The infix operators of sorts and of formulas: text -> (precedence level,
+# constructor).  Each associates to the right and binds tighter than those
+# of lower levels; the printer reads the same table.  In formulas a
+# quantifier stands at level 0, below them, and `~` at level 4, above them.
+SORT_OPS = {"->": (0, Arrow), "*": (1, Prod)}
+FORMULA_OPS = {"->": (1, Imp), "\\/": (2, Or), "/\\": (3, And)}
+
 PREFIX_OPS = {"fst": Fst, "snd": Snd, "inl": Inl, "inr": Inr, "efq": Efq, "reset": Reset}
+_BINDERS = {"fun": PLam, "tfun": TLam, "shift": Shift}
 
 # Token classes by text.  Every text that is not punctuation or the end
 # marker "" is a name, a keyword or "0".  An application spine of terms
@@ -110,7 +128,7 @@ class Parser:
 
     def error(self, message: str, at: Optional[int] = None) -> ParseError:
         """A ParseError at token ``at``, by default the current one.  The
-        speculative parse in ``formula_atom`` raises on valid input, so the
+        speculative parse in ``_formula_operand`` raises on valid input, so the
         scan for positions is kept."""
         if self._where is None:
             self._where = _locator(self.src)
@@ -137,24 +155,38 @@ class Parser:
         self.pos += 1
         return t
 
-    # -- sorts --------------------------------------------------------------
+    # -- sorts and formulas: precedence climbing ------------------------------
+
+    def _climb(self, ops: dict, operand) -> Record:
+        """``operand (op operand)*`` over the infix operators ``ops`` of one
+        category, folded by precedence climbing on an explicit stack of
+        pending (level, constructor, leading fields).  ``operand(stack)``
+        reads one operand and pushes the prefixes it reads before it; an
+        entry folds the text to its right when an operator of a lower level,
+        or the end of the chain, meets it."""
+        toks = self.toks
+        stack = []
+        out = operand(stack)
+        op = ops.get(toks[self.pos])
+        while op is not None or stack:
+            level = -1 if op is None else op[0]
+            while stack and stack[-1][0] > level:
+                _, ctor, fields = stack.pop()
+                out = ctor(*fields, out)
+            if op is None:
+                break
+            self.pos += 1
+            stack.append((level, op[1], (out,)))
+            out = operand(stack)
+            op = ops.get(toks[self.pos])
+        return out
 
     def type_(self) -> SimpleType:
-        left = self.type_prod()
-        if self.toks[self.pos] == "->":
-            self.pos += 1
-            return Arrow(left, self.type_())
-        return left
+        return self._climb(SORT_OPS, self._sort_operand)
 
-    def type_prod(self) -> SimpleType:
-        left = self.type_atom()
-        if self.toks[self.pos] == "*":
-            self.pos += 1
-            return Prod(left, self.type_prod())
-        return left
-
-    def type_atom(self) -> SimpleType:
-        t = self.next()
+    def _sort_operand(self, stack: list) -> SimpleType:
+        t = self.toks[self.pos]
+        self.pos += 1
         if t == "nat":
             return NAT
         if t == "unit":
@@ -165,126 +197,34 @@ class Parser:
             return out
         raise self.error(f"expected a sort, found {t!r}", self.pos - 1)
 
-    # -- terms --------------------------------------------------------------
-
-    def term(self) -> Term:
-        if self.toks[self.pos] == "fun":
-            self.pos += 1
-            self.expect("(")
-            x = self.ident()
-            self.expect(":")
-            s = self.type_()
-            self.expect(")")
-            self.expect("=>")
-            return Lam(x, s, self.term())
-        return self.term_app()
-
-    def term_app(self) -> Term:
-        out = self.term_item()
-        while self.toks[self.pos] not in _NOT_TERM_ARG:
-            out = App(out, self.term_item())
-        return out
-
-    def term_item(self) -> Term:
-        if self.toks[self.pos] == "S":
-            self.pos += 1
-            return Succ(self.term_item())
-        return self.term_postfix()
-
-    def term_postfix(self) -> Term:
-        out = self.term_atom()
-        while True:
-            t = self.toks[self.pos]
-            if t == ".1":
-                out = Proj1(out)
-            elif t == ".2":
-                out = Proj2(out)
-            else:
-                return out
-            self.pos += 1
-
-    def term_atom(self) -> Term:
-        t = self.next()
-        if t not in _NOT_NAME:
-            return Var(t)
-        if t == "star":
-            return STAR
-        if t == "0":
-            return ZERO
-        if t == "rec":
-            self.expect("[")
-            s = self.type_()
-            self.expect("]")
-            self.expect("(")
-            scrut = self.term()
-            self.expect(";")
-            base = self.term()
-            self.expect(";")
-            step = self.term()
-            self.expect(")")
-            return Rec(s, scrut, base, step)
-        if t == "(":
-            first = self.term()
-            if self.toks[self.pos] == ",":
-                self.pos += 1
-                second = self.term()
-                self.expect(")")
-                return Pair(first, second)
-            self.expect(")")
-            return first
-        raise self.error(f"expected a term, found {t or 'end of input'!r}", self.pos - 1)
-
-    # -- formulas -----------------------------------------------------------
-
     def formula(self) -> Formula:
-        return self.formula_imp()
+        return self._climb(FORMULA_OPS, self._formula_operand)
 
-    def formula_imp(self) -> Formula:
-        left = self.formula_or()
-        if self.toks[self.pos] == "->":
+    def _formula_operand(self, stack: list) -> Formula:
+        # `~` binds tighter than every infix operator, and a quantifier's
+        # body reaches to the end of the chain
+        toks = self.toks
+        t = toks[self.pos]
+        while t == "~" or t == "forall" or t == "exists":
             self.pos += 1
-            return Imp(left, self.formula_imp())
-        return left
-
-    def formula_or(self) -> Formula:
-        left = self.formula_and()
-        if self.toks[self.pos] == "\\/":
-            self.pos += 1
-            return Or(left, self.formula_or())
-        return left
-
-    def formula_and(self) -> Formula:
-        left = self.formula_unary()
-        if self.toks[self.pos] == "/\\":
-            self.pos += 1
-            return And(left, self.formula_and())
-        return left
-
-    def formula_unary(self) -> Formula:
-        if self.toks[self.pos] == "~":
-            self.pos += 1
-            return neg(self.formula_unary())
-        return self.formula_atom()
-
-    def formula_atom(self) -> Formula:
-        t = self.toks[self.pos]
+            if t == "~":
+                stack.append((4, neg, ()))
+            else:
+                x = self.ident()
+                self.expect(":")
+                s = self.type_()
+                self.expect(".")
+                stack.append((0, Forall if t == "forall" else Exists, (x, s)))
+            t = toks[self.pos]
         if t == "bot":
             self.pos += 1
             return BOT
-        if t in ("forall", "exists"):
-            self.pos += 1
-            x = self.ident()
-            self.expect(":")
-            s = self.type_()
-            self.expect(".")
-            body = self.formula()
-            return Forall(x, s, body) if t == "forall" else Exists(x, s, body)
-        if t not in _NOT_NAME and self.toks[self.pos + 1] == "(":
+        if t not in _NOT_NAME and toks[self.pos + 1] == "(":
             # predicate application; an equation with an application on the
             # left must parenthesize it, e.g. (f x) = 0
             self.pos += 2
             args = [self.term()]
-            while self.toks[self.pos] == ",":
+            while toks[self.pos] == ",":
                 self.pos += 1
                 args.append(self.term())
             self.expect(")")
@@ -296,7 +236,7 @@ class Parser:
                 self.pos += 1
                 inner = self.formula()
                 self.expect(")")
-                if self.toks[self.pos] not in ("=", ".1", ".2"):
+                if toks[self.pos] not in ("=", ".1", ".2"):
                     return inner
             except ParseError:
                 pass
@@ -313,94 +253,150 @@ class Parser:
             return PredApp(lhs.name, ())
         raise self.error("expected '=' after term in formula", start)
 
-    # -- proof terms ----------------------------------------------------------
+    # -- terms and proof terms ------------------------------------------------
 
-    def proof(self) -> ProofTerm:
-        t = self.toks[self.pos]
-        if t == "fun":
+    def term(self, item: bool = False) -> Term:
+        """A term, or with ``item`` only an atom and its projections (the
+        argument of ``@``).  Binders, ``S`` prefixes, projections and the
+        application spine are read in loops: a term recurses only into a
+        parenthesis or ``rec``, one frame per level."""
+        toks = self.toks
+        binders = []
+        while toks[self.pos] == "fun" and not item:
             self.pos += 1
-            a = self.ident()
-            self.expect("=>")
-            return PLam(a, self.proof())
-        if t == "tfun":
-            self.pos += 1
+            self.expect("(")
             x = self.ident()
-            self.expect("=>")
-            return TLam(x, self.proof())
-        if t == "shift":
-            self.pos += 1
-            k = self.ident()
-            self.expect("=>")
-            return Shift(k, self.proof())
-        if t == "case":
-            self.pos += 1
-            scrut = self.proof_app()
-            self.expect("of")
-            a1 = self.ident()
-            self.expect("=>")
-            b1 = self.proof()
-            self.expect("|")
-            a2 = self.ident()
-            self.expect("=>")
-            b2 = self.proof()
-            return Case(scrut, a1, b1, a2, b2)
-        if t == "dest":
-            self.pos += 1
-            scrut = self.proof_app()
-            self.expect("as")
-            self.expect("[")
-            x = self.ident()
-            self.expect(",")
-            a = self.ident()
-            self.expect("]")
-            self.expect("in")
-            return Dest(scrut, x, a, self.proof())
-        return self.proof_app()
-
-    def proof_app(self) -> ProofTerm:
-        out = self.proof_prefix()
-        while True:
-            t = self.toks[self.pos]
-            if t == "@":
-                self.pos += 1
-                out = TApp(out, self.term_postfix())
-            elif t not in _NOT_PROOF_ARG:
-                out = PApp(out, self.proof_prefix())
-            else:
-                return out
-
-    def proof_prefix(self) -> ProofTerm:
-        ctor = PREFIX_OPS.get(self.toks[self.pos])
-        if ctor is not None:
-            self.pos += 1
-            return ctor(self.proof_prefix())
-        return self.proof_atom()
-
-    def proof_atom(self) -> ProofTerm:
-        t = self.next()
-        if t not in _NOT_NAME:
-            return Hyp(t)
-        if t == "(":
-            first = self.proof()
-            if self.toks[self.pos] == ",":
-                self.pos += 1
-                second = self.proof()
-                self.expect(")")
-                return PPair(first, second)
-            if self.toks[self.pos] == ":":
-                self.pos += 1
-                f = self.formula()
-                self.expect(")")
-                return Ascribe(first, f)
+            self.expect(":")
+            s = self.type_()
             self.expect(")")
-            return first
-        if t == "[":
-            w = self.term()
-            self.expect(",")
-            body = self.proof()
-            self.expect("]")
-            return ExPair(w, body)
-        raise self.error(f"expected a proof term, found {t or 'end of input'!r}", self.pos - 1)
+            self.expect("=>")
+            binders.append((x, s))
+        out = None
+        while True:
+            succs = 0
+            while toks[self.pos] == "S" and not item:
+                self.pos += 1
+                succs += 1
+            t = toks[self.pos]
+            self.pos += 1
+            if t not in _NOT_NAME:
+                arg = Var(t)
+            elif t == "0":
+                arg = ZERO
+            elif t == "star":
+                arg = STAR
+            elif t == "(":
+                arg = self.term()
+                if toks[self.pos] == ",":
+                    self.pos += 1
+                    arg = Pair(arg, self.term())
+                self.expect(")")
+            elif t == "rec":
+                self.expect("[")
+                s = self.type_()
+                self.expect("]")
+                self.expect("(")
+                scrut = self.term()
+                self.expect(";")
+                base = self.term()
+                self.expect(";")
+                arg = Rec(s, scrut, base, self.term())
+                self.expect(")")
+            else:
+                raise self.error(f"expected a term, found {t or 'end of input'!r}", self.pos - 1)
+            while (t := toks[self.pos]) == ".1" or t == ".2":
+                self.pos += 1
+                arg = Proj1(arg) if t == ".1" else Proj2(arg)
+            while succs:
+                arg = Succ(arg)
+                succs -= 1
+            out = arg if out is None else App(out, arg)
+            if item or t in _NOT_TERM_ARG:
+                break
+        while binders:
+            x, s = binders.pop()
+            out = Lam(x, s, out)
+        return out
+
+    def proof(self, spine: bool = False) -> ProofTerm:
+        """A proof term, or with ``spine`` only an application spine (the
+        scrutinee of ``case`` and ``dest``).  Binders, ``dest`` and the
+        right branch of ``case``, prefix operators and the spine are read in
+        loops: a proof recurses only into a parenthesis, a bracket or the
+        left branch of ``case``."""
+        toks = self.toks
+        outer = []  # (constructor, fields but the body) of each binder read
+        t = toks[self.pos]
+        while not spine:
+            if t in _BINDERS:
+                self.pos += 1
+                a = self.ident()
+                self.expect("=>")
+                outer.append((_BINDERS[t], (a,)))
+            elif t == "case":
+                self.pos += 1
+                scrut = self.proof(spine=True)
+                self.expect("of")
+                a1 = self.ident()
+                self.expect("=>")
+                b1 = self.proof()
+                self.expect("|")
+                a2 = self.ident()
+                self.expect("=>")
+                outer.append((Case, (scrut, a1, b1, a2)))
+            elif t == "dest":
+                self.pos += 1
+                scrut = self.proof(spine=True)
+                self.expect("as")
+                self.expect("[")
+                x = self.ident()
+                self.expect(",")
+                a = self.ident()
+                self.expect("]")
+                self.expect("in")
+                outer.append((Dest, (scrut, x, a)))
+            else:
+                break
+            t = toks[self.pos]
+        out = None
+        while True:
+            prefixes = []
+            while (ctor := PREFIX_OPS.get(t)) is not None:
+                self.pos += 1
+                prefixes.append(ctor)
+                t = toks[self.pos]
+            self.pos += 1
+            if t not in _NOT_NAME:
+                arg = Hyp(t)
+            elif t == "(":
+                arg = self.proof()
+                t = toks[self.pos]
+                if t == ",":
+                    self.pos += 1
+                    arg = PPair(arg, self.proof())
+                elif t == ":":
+                    self.pos += 1
+                    arg = Ascribe(arg, self.formula())
+                self.expect(")")
+            elif t == "[":
+                w = self.term()
+                self.expect(",")
+                arg = ExPair(w, self.proof())
+                self.expect("]")
+            else:
+                raise self.error(f"expected a proof term, found {t or 'end of input'!r}", self.pos - 1)
+            while prefixes:
+                arg = prefixes.pop()(arg)
+            out = arg if out is None else PApp(out, arg)
+            while (t := toks[self.pos]) == "@":
+                self.pos += 1
+                out = TApp(out, self.term(item=True))
+            if t in _NOT_PROOF_ARG:
+                break
+        while outer:
+            ctor, fields = outer.pop()
+            out = ctor(*fields, out)
+        return out
 
 
 def _run(src: str, method: str):

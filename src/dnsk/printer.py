@@ -14,15 +14,19 @@ witness sort in two places of a ``dia_types`` sort, say) is rendered once.
 The memos are apart so that a node met in the wrong category raises
 ``TypeError`` even after it was rendered in its own.  The root holds every
 node for the length of the call, so no id is reused.
-``Succ`` chains, chains of proof prefix operators and the left spines of
-applications are rendered in loops, so their length does not meet the
-recursion limit.
+The infix operators of sorts and formulas come from the parser's table
+(``parser.SORT_OPS`` and ``FORMULA_OPS``), and one routine renders a
+right-nested chain of any of them.  Those chains, ``~`` chains, ``Succ``
+chains, ``.1``/``.2`` chains, chains of proof prefix operators and the left
+spines of applications are rendered in loops, so their length does not meet
+the recursion limit.
 """
 
 from __future__ import annotations
 
 import sys
 
+from .parser import FORMULA_OPS, SORT_OPS
 from .syntax import (
     And, App, Arrow, Ascribe, Bot, Case, Dest, Efq, Eq0, ExPair, Exists,
     Forall, Formula, Fst, Hyp, Imp, Inl, Inr, Lam, Nat, Or, Pair, PApp,
@@ -39,6 +43,9 @@ _STAR = ("star", _ATOM)
 _BOT = ("bot", _ATOM)
 # proof prefix operators, which take their argument at their own level
 _PREFIX = {Inl: "inl ", Inr: "inr ", Fst: "fst ", Snd: "snd ", Efq: "efq ", Reset: "reset "}
+# the parser's infix operators by constructor: (" text ", level)
+_INFIX = {ctor: (f" {text} ", level)
+          for ops in (SORT_OPS, FORMULA_OPS) for text, (level, ctor) in ops.items()}
 
 
 def print_type(t: SimpleType, prec: int = 0) -> str:
@@ -73,23 +80,31 @@ def _type(t: SimpleType, memos: tuple) -> tuple:
     out = memo.get(key)
     if out is not None:
         return out
-    if cls is Prod:
-        l, level = _type(t.left, memos)
-        if level < 2:
-            l = f"({l})"
-        r, level = _type(t.right, memos)
-        if level < 1:
-            r = f"({r})"
-        out = (f"{l} * {r}", 1)
-    elif cls is Arrow:
-        d, level = _type(t.dom, memos)
-        if level < 1:
-            d = f"({d})"
-        out = (f"{d} -> {_type(t.cod, memos)[0]}", 0)
+    if cls is Arrow or cls is Prod:
+        out = _infix(t, _type, memos, memo)
     else:
         raise TypeError(f"not a sort: {t!r}")
     memo[key] = out
     return out
+
+
+def _infix(x, walk, memos: tuple, memo: dict) -> tuple:
+    """The right-nested chain of one infix operator from ``x`` down, read in
+    a loop: each left operand stands above the operator's level, the last
+    right one at it.  A ``~`` or a node already rendered ends the chain."""
+    cls = type(x)
+    text, level = _INFIX[cls]
+    parts = []
+    while True:
+        # by name, not through Record._values, which is slower
+        l, x = (x.dom, x.cod) if cls is Arrow else (x.left, x.right)
+        l, at = walk(l, memos)
+        parts.append(l if at > level else f"({l})")
+        if type(x) is not cls or id(x) in memo or cls is Imp and type(x.right) is Bot:
+            break
+    r, at = walk(x, memos)
+    parts.append(r if at >= level else f"({r})")
+    return text.join(parts), level
 
 
 def _term(t: Term, memos: tuple) -> tuple:
@@ -107,10 +122,14 @@ def _term(t: Term, memos: tuple) -> tuple:
     if out is not None:
         return out
     if cls is Proj2 or cls is Proj1:
-        a, level = _term(t.arg, memos)
-        if level < 2:
-            a = f"({a})"
-        out = (f"{a}.2" if cls is Proj2 else f"{a}.1", _ATOM)
+        # the projections are met outermost first: their text is collected
+        # reversed and turned round once
+        tail, a = "", t
+        while (k := type(a)) is Proj1 or k is Proj2:
+            tail += "1." if k is Proj1 else "2."
+            a = a.arg
+        a, level = _term(a, memos)
+        out = ((a if level >= 2 else f"({a})") + tail[::-1], _ATOM)
     elif cls is Succ:
         n, a = 1, t.arg
         while type(a) is Succ:
@@ -156,17 +175,14 @@ def _formula(a: Formula, memos: tuple) -> tuple:
     out = memo.get(key)
     if out is not None:
         return out
-    if cls is Imp:
-        l, level = _formula(a.left, memos)
-        if type(a.right) is Bot:
-            out = (f"~{l}" if level >= 4 else f"~({l})", 4)
-        else:
-            if level < 2:
-                l = f"({l})"
-            r, level = _formula(a.right, memos)
-            if level < 1:
-                r = f"({r})"
-            out = (f"{l} -> {r}", 1)
+    if cls is Imp and type(a.right) is Bot:
+        n, a = 1, a.left
+        while type(a) is Imp and type(a.right) is Bot:
+            n, a = n + 1, a.left
+        l, level = _formula(a, memos)
+        out = ("~" * n + (l if level >= 4 else f"({l})"), 4)
+    elif cls is Imp or cls is And or cls is Or:
+        out = _infix(a, _formula, memos, memo)
     elif cls is PredApp:
         if a.args:
             out = (f"{a.sym}({', '.join([_term(t, memos)[0] for t in a.args])})", _ATOM)
@@ -182,26 +198,10 @@ def _formula(a: Formula, memos: tuple) -> tuple:
         if level < 1:
             r = f"({r})"
         out = (f"{l} = {r}", _ATOM)
-    elif cls is And:
-        l, level = _formula(a.left, memos)
-        if level < 4:
-            l = f"({l})"
-        r, level = _formula(a.right, memos)
-        if level < 3:
-            r = f"({r})"
-        out = (f"{l} /\\ {r}", 3)
     elif cls is Forall:
         out = (f"forall {a.var}:{_type(a.sort, memos)[0]}. {_formula(a.body, memos)[0]}", 0)
     elif cls is Exists:
         out = (f"exists {a.var}:{_type(a.sort, memos)[0]}. {_formula(a.body, memos)[0]}", 0)
-    elif cls is Or:
-        l, level = _formula(a.left, memos)
-        if level < 3:
-            l = f"({l})"
-        r, level = _formula(a.right, memos)
-        if level < 2:
-            r = f"({r})"
-        out = (f"{l} \\/ {r}", 2)
     else:
         raise TypeError(f"not a formula: {a!r}")
     memo[key] = out

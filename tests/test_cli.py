@@ -47,22 +47,41 @@ def test_missing_file_is_usage_exit():
     assert code == 2
 
 
-DEEP_SOURCES = {
-    "deep_fst.dnsk": "pred P(nat).\naxiom h : P(0).\nproof deep : P(0) := "
-                     + "fst (" * 200 + "h" + ")" * 200 + ".\n",
-    "deep_numeral.dnsk": "pred P(nat).\nformula big := "
-                         + "S (" * 500 + "0" + ")" * 500 + " = 0.\n",
-}
+def deep_source(name, depth):
+    """``deep_fst.dnsk``, a proof ``fst (…)``, or ``deep_numeral.dnsk``, a
+    numeral ``S (…)`` in an equation, nested ``depth`` deep."""
+    if name == "deep_fst.dnsk":
+        return ("pred P(nat).\naxiom h : P(0).\nproof deep : P(0) := "
+                + "fst (" * depth + "h" + ")" * depth + ".\n")
+    return "pred P(nat).\nformula big := " + "S (" * depth + "0" + ")" * depth + " = 0.\n"
 
 
-@pytest.mark.parametrize("name", sorted(DEEP_SOURCES))
+# The parser spends one Python frame per parenthesis of a term or a proof,
+# so 5000 levels are past the default recursion limit
+TOO_DEEP = 5000
+
+
+@pytest.mark.parametrize("name", ["deep_fst.dnsk", "deep_numeral.dnsk"])
 def test_too_deep_input_is_usage_exit(tmp_path, name):
     path = tmp_path / name
-    path.write_text(DEEP_SOURCES[name])
+    path.write_text(deep_source(name, TOO_DEEP))
     code, out, err = invoke("check", str(path))
     assert code == 2
     assert err == f"dnsk: {path}: input nested too deeply\n"
     assert out == ""
+
+
+def test_deep_input_within_the_stack_is_accepted(tmp_path):
+    path = tmp_path / "deep_fst.dnsk"
+    path.write_text(deep_source(path.name, 200))
+    code, out, err = invoke("check", str(path))
+    assert (code, err) == (1, "")
+    assert '"kind": "FormulaMismatch"' in out
+    path = tmp_path / "deep_numeral.dnsk"
+    path.write_text(deep_source(path.name, 500))
+    code, out, err = invoke("translate", "--mode", "kuroda", str(path))
+    assert (code, err) == (0, "")
+    assert out == "big : ~~" + "S (" * 499 + "S 0" + ")" * 499 + " = 0\n"
 
 
 def run_python(*args):
@@ -76,7 +95,7 @@ def run_python(*args):
 
 def test_too_deep_input_prints_no_traceback(tmp_path):
     path = tmp_path / "deep_fst.dnsk"
-    path.write_text(DEEP_SOURCES["deep_fst.dnsk"])
+    path.write_text(deep_source(path.name, TOO_DEEP))
     proc = run_python("-m", "dnsk.cli", "check", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

@@ -10,6 +10,7 @@ from dnsk.extract import (
     realizer_context,
 )
 from dnsk.parser import parse_formula, parse_proof, parse_type
+from dnsk.printer import print_term
 from dnsk.syntax import NAT, numeral_value
 from dnsk.translate import mr_formula, mr_type
 from dnsk.typecheck import Annotation, Context, check_proof, infer_term_type
@@ -60,6 +61,22 @@ def test_case_builds_conditional():
     term, sort, vars_ = extract(
         "case a of l => (l, l) | r => (r, r)", "R /\\ R", a="R \\/ R")
     assert sort == mr_type(parse_formula("R /\\ R"))
+
+
+def test_case_conditional_does_not_capture_branch_variables():
+    # the conditional binds _n and _r around the right branch, whose
+    # realizer here mentions the term variable _r
+    ctx = Context({"_r": NAT}, {"h": parse_formula("P(0) \\/ R"),
+                                "g": parse_formula("P(_r)")})
+    goal = parse_formula("exists z:nat. P(z)")
+    report = check_proof(SIG, ctx, Annotation.PLAIN,
+                         parse_proof("case h of a => [0, a] | b => [_r, g]"), goal)
+    assert report.ok, report.error
+    env = env_for(ctx)
+    term = extract_mr(report.derivation, env)
+    assert infer_term_type(realizer_context(ctx.term_vars, ctx.hyps, env), term) == \
+        mr_type(goal) == parse_type("unit * nat")
+    assert print_term(term.step) == "fun (_n:nat) => fun (_r1:unit * nat) => (x_g, _r)"
 
 
 def test_bot_elim_gives_dummy():

@@ -1,7 +1,7 @@
 """Concrete syntax: parsing, printing, and the round-trip property."""
 
 import random
-import time
+import sys
 
 import pytest
 
@@ -9,8 +9,8 @@ from dnsk import parser
 from dnsk.parser import ParseError, parse_formula, parse_proof, parse_source, parse_term, parse_type
 from dnsk.printer import print_formula, print_proof, print_term, print_type
 from dnsk.syntax import (
-    Arrow, Imp, Lam, NAT, PLam, Prod, Rec, Shift, UNIT, Var,
-    alpha_eq_formula,
+    And, Arrow, Eq0, Fst, Hyp, Imp, Lam, NAT, PLam, PredApp, Prod, Proj1, Rec, Record,
+    Shift, UNIT, Var, ZERO, alpha_eq_formula, neg, numeral,
 )
 from conftest import random_formula
 
@@ -132,7 +132,9 @@ def test_error_positions(parse, src, message, line, col):
 
 def test_speculative_parentheses_are_linear(monkeypatch):
     # each "(x.1)" is first tried as a parenthesized formula, which fails
-    # and is caught: the error's position must not cost a scan per failure
+    # and is caught: the error's position must not cost a scan per failure,
+    # and the parser's calls, counted exactly, grow by the same number per
+    # conjunct at every size
     scans = []
     locator = parser._locator
 
@@ -141,15 +143,86 @@ def test_speculative_parentheses_are_linear(monkeypatch):
         return locator(src)
 
     monkeypatch.setattr(parser, "_locator", counted)
-    sources = {n: " /\\ ".join(["(x.1) = 0"] * n) for n in (100, 200, 400, 800)}
-    parse_formula(sources[800])
-    assert len(scans) <= 1, len(scans)
+    calls = []
+    for name in ("formula", "_formula_operand", "term"):
+        def counting(self, *args, _method=getattr(parser.Parser, name)):
+            calls.append(_method)
+            return _method(self, *args)
+        monkeypatch.setattr(parser.Parser, name, counting)
 
-    best = dict.fromkeys(sources, float("inf"))
-    for _ in range(5):  # sizes interleaved, so a slow spell hits all of them
-        for n, src in sources.items():  # 100 warms up
-            start = time.perf_counter()
-            parse_formula(src)
-            best[n] = min(best[n], time.perf_counter() - start)
-    _, t200, t400, t800 = best.values()
-    assert t400 <= 2.5 * t200 and t800 <= 2.5 * t400, best
+    sizes = (100, 200, 400, 800, 1600, 3200)
+    totals = []
+    for n in sizes:
+        scans.clear()
+        calls.clear()
+        parse_formula(" /\\ ".join(["(x.1) = 0"] * n))
+        assert len(scans) <= 1, (n, len(scans))
+        totals.append(len(calls))
+    per_conjunct = {(b - a) / (m - n) for a, b, n, m in zip(totals, totals[1:], sizes, sizes[1:])}
+    assert len(per_conjunct) == 1, dict(zip(sizes, totals))
+
+
+def chain(n, step, base):
+    for _ in range(n):
+        base = step(base)
+    return base
+
+
+def same_tree(a, b):
+    """``a == b`` on an explicit stack: a record compares its fields by
+    recursion, which a chain 2000 deep exhausts."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, (Record, tuple)):
+            fields = (a, b) if type(a) is tuple else (a._values(a), b._values(b))
+            if len(fields[0]) != len(fields[1]):
+                return False
+            stack.extend(zip(*fields))
+        elif a != b:
+            return False
+    return True
+
+
+P = PredApp("P", ())
+CATEGORIES = {
+    "sort": (parse_type, print_type), "term": (parse_term, print_term),
+    "formula": (parse_formula, print_formula), "proof": (parse_proof, print_proof),
+}
+# (category, source, node, the printed node if it is not the source)
+DEPTH_TABLE = [
+    pytest.param("proof", "fst " * 2000 + "h", chain(2000, Fst, Hyp("h")), None, id="fst-2000"),
+    pytest.param("formula", "~" * 2000 + "P", chain(2000, neg, P), None, id="neg-2000"),
+    pytest.param("formula", " /\\ ".join(["P"] * 5000), chain(4999, lambda a: And(P, a), P),
+                 None, id="and-5000"),
+    pytest.param("formula", " /\\ ".join(["(x.1) = 0"] * 5000),
+                 chain(4999, lambda a: And(Eq0(Proj1(Var("x")), ZERO), a),
+                       Eq0(Proj1(Var("x")), ZERO)),
+                 " /\\ ".join(["x.1 = 0"] * 5000), id="and-eq-5000"),
+    pytest.param("formula", " -> ".join(["P"] * 2001), chain(2000, lambda a: Imp(P, a), P),
+                 None, id="imp-2000"),
+    pytest.param("sort", " -> ".join(["nat"] * 2001), chain(2000, lambda s: Arrow(NAT, s), NAT),
+                 None, id="arrow-2000"),
+    pytest.param("term", "S " * 2000 + "0", numeral(2000), "S (" * 1999 + "S 0" + ")" * 1999,
+                 id="succ-2000"),
+    pytest.param("term", "x" + ".1" * 2000, chain(2000, Proj1, Var("x")), None, id="proj1-2000"),
+    pytest.param("term", "S (" * 499 + "S 0" + ")" * 499, numeral(500), None, id="numeral-500"),
+    pytest.param("proof", "fst (" * 200 + "h" + ")" * 200, chain(200, Fst, Hyp("h")),
+                 "fst " * 200 + "h", id="fst-parens-200"),
+]
+
+
+@pytest.mark.parametrize("category, src, node, printed", DEPTH_TABLE)
+def test_deep_input_parses_and_round_trips(category, src, node, printed):
+    # at the default recursion limit: the parser reads chains in loops and
+    # spends one frame per parenthesis of a term or a proof
+    parse, show = CATEGORIES[category]
+    assert same_tree(parse(src), node)
+    text = show(node)
+    assert text == (src if printed is None else printed)
+    # the printer writes an S chain as nested parentheses, one frame each
+    # when read back, so the 1999 levels of succ-2000 are past the limit
+    if text.count("(") < sys.getrecursionlimit():
+        assert same_tree(parse(text), node)
