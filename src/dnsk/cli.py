@@ -186,13 +186,15 @@ def _cmd_eval(args, out) -> int:
     sf = _load(args.file)
     sig = _signature(sf)
     ctx = _base_context(sf)
-    fuel = args.fuel
+    fuel, source = args.fuel, "--fuel"
     if fuel is None:
-        env_fuel = os.environ.get("DNSK_FUEL", "10000")
+        env_fuel, source = os.environ.get("DNSK_FUEL", "10000"), "DNSK_FUEL"
         try:
             fuel = int(env_fuel)
         except ValueError:
             raise _Failure(2, f"DNSK_FUEL must be an integer, got {env_fuel!r}") from None
+    if fuel < 0:
+        raise _Failure(2, f"{source} must not be negative, got {fuel}")
     code = 0
     for decl, _ in _selected(sf, "eval", ProofDecl):
         ann = Annotation.BOT if decl.annotation == "bot" else Annotation.PLAIN

@@ -28,15 +28,16 @@ form (the delimiter must stay so the judgment remains derivable).
 ``normalize_proof`` is a refocused abstract machine (Danvy and Nielsen,
 "Refocusing in reduction semantics", 2004).  It holds a focus and the
 evaluation context around it as an explicit stack of frames, one per
-constructor with an evaluation hole: the left and then the right part of a
-pair or application, the argument of an injection, projection, ``efq`` or
-type application, the scrutinee of ``case`` and ``dest``, the body of an
-existential pair, an ascription and a ``reset``.  It descends into the
-leftmost hole until it meets a value or a ``shift``, and ascends with a
-normal proof, rebuilding only the nodes whose hole changed, until a frame
-makes a redex.  After a contraction it goes on from the reduct in the same
-context (refocusing), never from the root, so finding a redex costs
-amortized constant time.
+constructor with an evaluation hole, its first proof slot in
+``syntax.PROOF_SLOTS`` with no binder before it: the left and then the right
+part of a pair or application, the argument of an injection, projection or
+``efq``, the proof of a type application, the scrutinee of ``case`` and
+``dest``, and the body of an existential pair, an ascription and a
+``reset``.  It descends into the leftmost hole until it meets a value or a
+``shift``, and ascends with a normal proof, rebuilding only the nodes whose
+hole changed, until a frame makes a redex.  After a contraction it goes on
+from the reduct in the same context (refocusing), never from the root, so
+finding a redex costs amortized constant time.
 
 A ``shift k => M`` in focus captures the frames above the nearest ``reset``
 frame, the delimited context F (Biernacka, Biernacki and Danvy, "An
@@ -78,12 +79,12 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from .syntax import (
-    App, Ascribe, Case, Dest, Efq, Eq0, Exists, Forall, Formula, Fst, Hyp,
+    App, Ascribe, Case, Dest, Eq0, Exists, Forall, Formula, Fst, Hyp,
     Imp, Inl, Inr, KernelError, Lam, NAT, numeral, Or, And,
     Pair, PApp, PLam, PPair, PredApp, ProofTerm, Proj1, Proj2, Rec, Reset,
     Bot, Shift, Signature, Snd, Star, Succ, Term, TApp, TLam, ExPair, Var,
-    Zero, contains_shift, free_candidates, fresh_name, subst_formula,
-    subst_proof_hyp, subst_proof_term,
+    Zero, HYP, PROOF, PROOF_SLOTS, VAR, contains_shift, free_candidates, fresh_name,
+    subst_formula, subst_proof_hyp, subst_proof_term,
 )
 from .typecheck import SortError, infer_term_type
 
@@ -278,35 +279,26 @@ def _unwrap(p: ProofTerm) -> ProofTerm:
     return p
 
 
-# The field holding the evaluation hole of each constructor that has one.  A
-# pair or application has a second hole, its right part, once its left part
-# is normal.
-_HOLE = {
-    PPair: "fst", PApp: "fn", Fst: "arg", Snd: "arg", Inl: "arg", Inr: "arg",
-    Efq: "arg", Reset: "body", Ascribe: "body", TApp: "fn", Case: "scrut",
-    Dest: "scrut", ExPair: "body",
-}
+# The evaluation hole of each constructor that has one, by index and by field
+# name: its first proof slot, unless a binder comes before it (so PLam, TLam
+# and Shift have none).  A pair or application has a second hole, its right
+# part, once its left part is normal.
+_HOLE_AT = {cls: slots.index(PROOF) for cls, slots in PROOF_SLOTS.items()
+            if not {HYP, VAR} & set(slots[:slots.index(PROOF)])}
+_HOLE = {cls: cls.__match_args__[i] for cls, i in _HOLE_AT.items()}
 
 
 def _plug1(node: ProofTerm, left, q: ProofTerm) -> ProofTerm:
     """``node`` with q in its evaluation hole; ``left`` is None, or the normal
     left part of a pair or application whose right part is the hole."""
     cls = type(node)
-    if cls is PPair:
-        return PPair(q, node.snd) if left is None else PPair(left, q)
-    if cls is PApp:
-        return PApp(q, node.arg) if left is None else PApp(left, q)
-    if cls is Ascribe:
-        return Ascribe(q, node.formula)
-    if cls is ExPair:
-        return ExPair(node.witness, q)
-    if cls is TApp:
-        return TApp(q, node.arg)
-    if cls is Case:
-        return Case(q, node.left_name, node.left, node.right_name, node.right)
-    if cls is Dest:
-        return Dest(q, node.var, node.hyp, node.body)
-    return cls(q)  # Fst, Snd, Inl, Inr, Efq, Reset
+    vals = list(cls._values(node))
+    i = _HOLE_AT[cls]
+    if left is not None:
+        vals[i] = left
+        i += 1
+    vals[i] = q
+    return cls(*vals)
 
 
 def _plug(frames, q: ProofTerm) -> ProofTerm:

@@ -54,17 +54,6 @@ def dummy(sort: SimpleType) -> Term:
             return ZERO
 
 
-# the proof form that check_proof gives each rule as its subject; extract
-# looks it up once and tests it by identity, commonest rule first, where a
-# match on the rule's text compares it with each name in turn
-_RULE_FORMS = {
-    "ax": Hyp, "and_i": PPair, "and_e1": Fst, "and_e2": Snd, "or_i1": Inl, "or_i2": Inr,
-    "or_e": Case, "imp_i": PLam, "imp_e": PApp, "forall_i": TLam, "forall_e": TApp,
-    "exists_i": ExPair, "exists_e": Dest, "bot_e": Efq, "ascribe": Ascribe, "reset": Reset,
-    "shift": Shift,
-}
-
-
 def _cond(sort: SimpleType, flag: Term, if_zero: Term, if_nonzero: Term, memo: dict) -> Term:
     """Select by a numeric flag, zero picking the first branch; built from
     the recursor since the term language has no primitive conditional.  The
@@ -97,8 +86,9 @@ class _Extractor:
         return name
 
     def extract(self, d: Derivation, local: Mapping[str, str]) -> Term:
-        rule = d.rule
-        form = _RULE_FORMS.get(rule)
+        # check_proof makes each rule's subject that rule's proof form, so
+        # the subject's class selects the rule, tested by identity
+        form = type(d.subject)
         goal = d.goal
         kids = d.children
         if form is Hyp:
@@ -174,7 +164,7 @@ class _Extractor:
                 "ControlNodePresent",
                 "extraction is defined only for control-free derivations",
             )
-        raise ExtractionError("UnknownRule", f"unhandled rule {rule!r}")
+        raise ExtractionError("UnknownRule", f"unhandled rule {d.rule!r}")
 
 
 def _names_in(d: Derivation, out: set, memo: dict) -> None:

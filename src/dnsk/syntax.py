@@ -23,10 +23,11 @@ are traversed through one table, PROOF_SLOTS: it gives each constructor but
 Hyp the kind of every field in field order, a proof child, a term, a
 formula or a binder of either name space, and a binder scopes over the next
 proof child.  Free names, substitution, alpha-equivalence and the occurs
-checks read it.  The occurs checks, and the free-name walk that the proof
-machine uses to pick a fresh name, keep an explicit stack and can share a
-memo across calls (see _memo_walk), so their depth is not bounded by the
-Python stack.
+checks read it.  Every proof walk but substitution keeps an explicit stack,
+so its depth is not bounded by the Python stack: the free names of either
+name space and the occurs checks are post-order walks that can share a memo
+across calls (see _memo_walk), and alpha-equivalence compares node pairs
+from a stack.  Substitution recurses once per proof node.
 """
 
 from __future__ import annotations
@@ -717,25 +718,6 @@ def _plan(cls, slots) -> tuple:
 _PLANS = {cls: _plan(cls, slots) for cls, slots in PROOF_SLOTS.items()}
 
 
-def _free_names(p: ProofTerm, ns: str) -> frozenset:
-    """Free names of a proof term in name space ``ns`` (HYP or VAR)."""
-    if type(p) is Hyp:
-        return frozenset((p.name,)) if ns == HYP else _NO_NAMES
-    get, children, leaves = _PLANS[type(p)]
-    vals = get(p)
-    out = _NO_NAMES
-    for i, binders in children:
-        fv = _free_names(vals[i], ns)
-        for j, kind in binders:
-            if kind == ns:
-                fv = fv - {vals[j]}
-        out = out | fv
-    if ns == VAR:
-        for i, leaf_fv, _, _ in leaves:
-            out = out | leaf_fv(vals[i])
-    return out
-
-
 def _subst(p: ProofTerm, ns: str, x: str, r, rfv: Mapping) -> ProofTerm:
     """p[x := r] in name space ``ns``, where ``rfv`` maps each name space to
     a one-element list caching the free names of ``r``, or None until the
@@ -777,72 +759,78 @@ def _subst(p: ProofTerm, ns: str, x: str, r, rfv: Mapping) -> ProofTerm:
     return cls(*vals)
 
 
-def _aeq_proof(a: ProofTerm, b: ProofTerm, ha, hb, ta, tb, n: int) -> bool:
-    # one level counter for both name spaces, advanced past a child's binders
-    cls = type(a)
-    if cls is not type(b):
-        return False
-    if cls is Hyp:
-        return _aeq_var(a.name, b.name, ha, hb)
-    get, children, leaves = _PLANS[cls]
-    va, vb = get(a), get(b)
-    for i, _, _, aeq in leaves:
-        if not aeq(va[i], vb[i], ta, tb, n):
-            return False
-    for i, binders in children:
-        ha2, hb2, ta2, tb2, m = ha, hb, ta, tb, n
-        for j, kind in binders:
-            if kind == HYP:
-                ha2, hb2 = {**ha2, va[j]: m}, {**hb2, vb[j]: m}
-            else:
-                ta2, tb2 = {**ta2, va[j]: m}, {**tb2, vb[j]: m}
-            m += 1
-        if not _aeq_proof(va[i], vb[i], ha2, hb2, ta2, tb2, m):
-            return False
-    return True
-
-
 def _memo_walk(p: ProofTerm, memo: dict, leaves: Mapping, at_node):
     """The result of p in a post-order walk with an explicit stack.  A node
     of a class in ``leaves`` gets ``leaves[cls](node)``; any other gets
-    ``at_node(vals, children, memo)`` from its field values and proof
-    children (as in _PLANS), whose results are in ``memo``.  ``memo`` maps
-    id(node) to (node, result): holding the node keeps its id from being
-    reused while the memo lives, so one memo can serve many calls on
-    proofs that share nodes."""
+    ``at_node(vals, children, slots, memo)`` from its field values, proof
+    children and term and formula slots (as in _PLANS), the children's
+    results being in ``memo``.  ``memo`` maps id(node) to (node, result):
+    holding the node keeps its id from being reused while the memo lives,
+    so one memo can serve many calls on proofs that share nodes."""
     entry = memo.get(id(p))
     if entry is not None:
         return entry[1]
     stack = [p]
+    pop, push = stack.pop, stack.append
     while stack:
-        q = stack[-1]
-        if id(q) in memo:
-            stack.pop()
-            continue
-        cls = type(q)
-        leaf = leaves.get(cls)
-        if leaf is not None:
-            memo[id(q)] = (q, leaf(q))
-            stack.pop()
-            continue
-        get, children, _ = _PLANS[cls]
-        vals = get(q)
-        todo = [vals[i] for i, _ in children if id(vals[i]) not in memo]
-        if todo:
-            stack.extend(todo)
-            continue
-        memo[id(q)] = (q, at_node(vals, children, memo))
-        stack.pop()
+        q = pop()
+        if q is None:
+            # a node below this mark has the results of all its children
+            q = pop()
+            get, children, slots = _PLANS[type(q)]
+            memo[id(q)] = (q, at_node(get(q), children, slots, memo))
+        elif id(q) not in memo:
+            cls = type(q)
+            leaf = leaves.get(cls)
+            if leaf is not None:
+                memo[id(q)] = (q, leaf(q))
+            else:
+                push(q)
+                push(None)
+                get, children, _ = _PLANS[cls]
+                vals = get(q)
+                for i, _ in children:
+                    push(vals[i])
     return memo[id(p)][1]
 
 
-def _any_child(vals, children, memo) -> bool:
+def _any_child(vals, children, slots, memo) -> bool:
     return any(memo[id(vals[i])][1] for i, _ in children)
 
 
 _no, _yes = (lambda p: False), (lambda p: True)
 _SHIFT_LEAVES = {Hyp: _no, Shift: _yes}
 _CONTROL_LEAVES = {Hyp: _no, Shift: _yes, Reset: _yes}
+
+
+def _free_at(ns: str):
+    """The at-node rule of the free names in name space ``ns`` (HYP or
+    VAR): those of each proof child less the binders of ns over it, and for
+    VAR also the free variables of the term and formula slots, read through
+    the walk's memo (as in fv_term)."""
+    def at_node(vals, children, slots, memo):
+        out = _NO_NAMES
+        for i, binders in children:
+            fv = memo[id(vals[i])][1]
+            if fv:
+                for j, kind in binders:
+                    if kind == ns:
+                        fv = fv - {vals[j]}
+                out = out | fv if out else fv
+        if ns == VAR:
+            for i, leaf_fv, _, _ in slots:
+                out = out | leaf_fv(vals[i], memo)
+        return out
+    return at_node
+
+
+_FREE_AT = {HYP: _free_at(HYP), VAR: _free_at(VAR)}
+_FREE_LEAVES = {HYP: {Hyp: lambda q: frozenset((q.name,))}, VAR: {Hyp: lambda q: _NO_NAMES}}
+
+
+def _free_names(p: ProofTerm, ns: str) -> frozenset:
+    """Free names of a proof term in name space ``ns`` (HYP or VAR)."""
+    return _memo_walk(p, {}, _FREE_LEAVES[ns], _FREE_AT[ns])
 
 
 def fv_proof_hyps(p: ProofTerm) -> frozenset:
@@ -858,24 +846,13 @@ def free_candidates(p: ProofTerm, base: str, memo: Optional[dict] = None) -> fro
     time in their number, not in the names below them.  ``memo``, kept
     across calls with this one base, holds the names of every node walked
     (see _memo_walk)."""
-    def at_node(vals, children, memo):
-        out = _NO_NAMES
-        for i, binders in children:
-            fv = memo[id(vals[i])][1]
-            if fv:
-                for j, kind in binders:
-                    if kind == HYP:
-                        fv = fv - {vals[j]}
-                out = out | fv if out else fv
-        return out
-
     def leaf(q):
         # fresh_name(base, ...) returns base or base followed by digits
         rest = q.name[len(base):]
         if q.name.startswith(base) and (not rest or rest.isdigit()):
             return frozenset((q.name,))
         return _NO_NAMES
-    return _memo_walk(p, {} if memo is None else memo, {Hyp: leaf}, at_node)
+    return _memo_walk(p, {} if memo is None else memo, {Hyp: leaf}, _FREE_AT[HYP])
 
 
 def fv_proof_termvars(p: ProofTerm) -> frozenset:
@@ -910,7 +887,36 @@ def subst_proof_term(p: ProofTerm, x: str, t: Term) -> ProofTerm:
 
 
 def alpha_eq_proof(a: ProofTerm, b: ProofTerm) -> bool:
-    return _aeq_proof(a, b, {}, {}, {}, {}, 0)
+    """Alpha-equivalence of proof terms, comparing node pairs from an
+    explicit stack.  Each pair carries the levels of the binders over it on
+    either side, hypotheses and variables apart; one level counter serves
+    both name spaces and advances past each binder."""
+    stack = [(a, b, {}, {}, {}, {}, 0)]
+    while stack:
+        a, b, ha, hb, ta, tb, n = stack.pop()
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        if cls is Hyp:
+            if not _aeq_var(a.name, b.name, ha, hb):
+                return False
+            continue
+        get, children, leaves = _PLANS[cls]
+        va, vb = get(a), get(b)
+        for i, _, _, aeq in leaves:
+            if not aeq(va[i], vb[i], ta, tb, n):
+                return False
+        # pushed last first, so that the children are compared left to right
+        for i, binders in reversed(children):
+            ha2, hb2, ta2, tb2, m = ha, hb, ta, tb, n
+            for j, kind in binders:
+                if kind == HYP:
+                    ha2, hb2 = {**ha2, va[j]: m}, {**hb2, vb[j]: m}
+                else:
+                    ta2, tb2 = {**ta2, va[j]: m}, {**tb2, vb[j]: m}
+                m += 1
+            stack.append((va[i], vb[i], ha2, hb2, ta2, tb2, m))
+    return True
 
 
 def contains_control(p: ProofTerm) -> bool:

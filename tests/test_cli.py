@@ -157,6 +157,21 @@ def test_eval_fuel_env_not_an_integer_is_usage_exit(monkeypatch, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (["--fuel", "-1"], None, "--fuel must not be negative, got -1"),
+    ([], "-3", "DNSK_FUEL must not be negative, got -3"),
+])
+def test_eval_negative_fuel_is_usage_exit(monkeypatch, argv, env, message):
+    # not one FuelExhausted line per declaration with exit 1, which reads
+    # as a logical failure
+    if env is not None:
+        monkeypatch.setenv("DNSK_FUEL", env)
+    code, out, err = invoke("eval", sample("capture.dnsk"), *argv)
+    assert code == 2
+    assert err == f"dnsk: {message}\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("realizer, message", [
     ("zz", "unbound variable 'zz'"),
     ("S 0", "realizer has sort nat, formula wants unit"),

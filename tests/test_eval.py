@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 import dnsk.evaluate as evaluate
+import dnsk.syntax as S
 from dnsk.evaluate import (
     FuelExhausted, IllSorted, Stuck, eval_formula_bounded, normalize_proof,
     normalize_term,
@@ -225,6 +226,32 @@ def test_untraced_reduction_keeps_no_configurations():
 def test_step_proof_none_on_normal_forms():
     p = parse_proof("fun a => a")
     assert normalize_proof(p, trace=True) == (p, [p])
+
+
+def test_evaluation_holes_are_read_off_the_slot_table():
+    # the table the machine was written with, before the holes were derived
+    # from syntax.PROOF_SLOTS
+    written = {
+        S.PPair: "fst", S.PApp: "fn", S.TApp: "fn",
+        S.Fst: "arg", S.Snd: "arg", S.Inl: "arg", S.Inr: "arg", S.Efq: "arg",
+        S.Reset: "body", S.Ascribe: "body", S.ExPair: "body",
+        S.Case: "scrut", S.Dest: "scrut",
+    }
+    assert evaluate._HOLE == written
+    assert not {S.PLam, S.TLam, S.Shift} & set(evaluate._HOLE)
+    # plugging replaces the hole, or the left part and the right part of a
+    # pair or application, and keeps every other field
+    q, left = S.Hyp("q"), S.Hyp("l")
+    for cls, field in written.items():
+        node = cls(*[S.Hyp(f) for f in cls.__match_args__])
+        for l, changed in ((None, {field: q}), (left, {"fst": left, "snd": q,
+                                                       "fn": left, "arg": q})):
+            if l is not None and cls not in (S.PPair, S.PApp):
+                continue
+            plugged = evaluate._plug1(node, l, q)
+            assert type(plugged) is cls
+            for f in cls.__match_args__:
+                assert getattr(plugged, f) is changed.get(f, getattr(node, f))
 
 
 # -- bounded classical evaluation ---------------------------------------------

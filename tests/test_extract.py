@@ -6,14 +6,14 @@ import pytest
 
 from dnsk.evaluate import normalize_term
 from dnsk.extract import (
-    ExtractionEnv, ExtractionError, ac_realizer, dummy, extract_mr,
+    ExtractionEnv, ExtractionError, _Extractor, ac_realizer, dummy, extract_mr,
     realizer_context,
 )
 from dnsk.parser import parse_formula, parse_proof, parse_type
 from dnsk.printer import print_term
-from dnsk.syntax import NAT, numeral_value
+from dnsk.syntax import NAT, Var, numeral_value
 from dnsk.translate import mr_formula, mr_type
-from dnsk.typecheck import Annotation, Context, check_proof, infer_term_type
+from dnsk.typecheck import Annotation, Context, Derivation, check_proof, infer_term_type
 from conftest import TEST_SIGNATURE, random_derivation
 
 SIG = TEST_SIGNATURE
@@ -103,6 +103,16 @@ def test_unrealizable_axiom_is_rejected():
     with pytest.raises(ExtractionError) as exc:
         extract_mr(d, ExtractionEnv({}, {}, frozenset({"a"})))
     assert exc.value.kind == "UnrealizableAxiom"
+
+
+def test_subject_that_is_no_proof_form_is_an_unknown_rule():
+    # the extractor selects a rule by its subject's class; extract_mr's name
+    # walk reads the subjects first, so the extractor is called directly
+    d = Derivation("ax", Annotation.PLAIN, Var("a"), parse_formula("P(0)"))
+    with pytest.raises(ExtractionError) as exc:
+        _Extractor(ExtractionEnv(), (), {}).extract(d, {})
+    assert exc.value.kind == "UnknownRule"
+    assert str(exc.value) == "unhandled rule 'ax'"
 
 
 def test_axiom_realizer_substituted():

@@ -2,9 +2,15 @@
 ones they replaced (``reference_syntax``), on random proofs over all 17
 constructors.  The name pools are tiny and share ``x`` and ``x1`` between
 hypotheses and individual variables, so capture and shadowing happen often,
-and a fresh name for ``x`` can clash with a free ``x1``."""
+and a fresh name for ``x`` can clash with a free ``x1``.  The check also
+runs without pytest, on the standard library alone, with ``scale`` times the
+random proofs of the tier-1 run:
+
+    PYTHONPATH=src python tests/test_proof_traversals.py [scale]
+"""
 
 import random
+import sys
 from typing import get_args
 
 import reference_syntax as ref
@@ -95,8 +101,12 @@ def test_generator_covers_every_constructor():
 
 
 def test_derived_traversals_match_hand_written():
+    derived_traversals_agree(CASES)
+
+
+def derived_traversals_agree(cases):
     rng = random.Random(20260)
-    for _ in range(CASES):
+    for _ in range(cases):
         p = gen_proof(rng, rng.randrange(1, 5))
         q = gen_proof(rng, rng.randrange(0, 3))
         t = gen_term(rng, 2)
@@ -130,12 +140,16 @@ def test_derived_traversals_match_hand_written():
 
 
 def test_memoized_walks_match_hand_written():
+    memoized_walks_agree(2000)
+
+
+def memoized_walks_agree(n):
     """The explicit-stack walks, each with one memo across every call and
     with subproofs shared between calls, against the hand-written ones."""
     rng = random.Random(20261)
     memos = {"a": {}, "x": {}, "shift": {}}
     proofs = []
-    for _ in range(2000):
+    for _ in range(n):
         p = gen_proof(rng, rng.randrange(1, 5))
         if proofs and rng.random() < 0.5:
             p = syntax.PPair(p, rng.choice(proofs))
@@ -147,3 +161,12 @@ def test_memoized_walks_match_hand_written():
             k = rng.choice(HYPS)
             assert syntax.fresh_name(base, names | {k}) == syntax.fresh_name(base, fv | {k})
         assert syntax.contains_shift(p, memos["shift"]) == ref.contains_shift(p)
+
+
+if __name__ == "__main__":
+    scale = int(sys.argv[1]) if len(sys.argv) > 1 else 1
+    test_generator_covers_every_constructor()
+    derived_traversals_agree(CASES * scale)
+    memoized_walks_agree(2000 * scale)
+    print(f"python {sys.version.split()[0]}: {CASES * scale} random proofs through every "
+          f"proof walk and {2000 * scale} through the memoized walks agree")

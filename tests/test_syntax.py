@@ -2,12 +2,14 @@
 
 import random
 
+import pytest
+
 from dnsk.syntax import (
-    And, App, Ascribe, Eq0, Exists, Forall, Hyp, Imp, Lam, NAT, Pair, PLam, PredApp,
-    Shift, Succ, TLam, Var, ZERO, alpha_eq_formula, alpha_eq_proof, alpha_eq_term,
-    contains_control, contains_shift, fresh_name, fv_formula, fv_proof_hyps,
-    fv_proof_termvars, fv_term, neg, numeral, numeral_value, subst_formula,
-    subst_proof_term, subst_term,
+    And, App, Ascribe, Efq, Eq0, Exists, Forall, Fst, Hyp, Imp, Inl, Lam, NAT, Pair, PLam,
+    PredApp, Reset, Shift, Snd, Succ, TLam, Var, ZERO, alpha_eq_formula, alpha_eq_proof,
+    alpha_eq_term, contains_control, contains_shift, free_candidates, fresh_name,
+    fv_formula, fv_proof_hyps, fv_proof_termvars, fv_term, neg, numeral, numeral_value,
+    subst_formula, subst_proof_term, subst_term,
 )
 from dnsk.theorems import build_library
 from conftest import random_formula
@@ -127,6 +129,56 @@ def test_proof_free_variables():
 def test_control_detection():
     assert contains_shift(PLam("a", Shift("k", Hyp("k"))))
     assert not contains_control(PLam("a", Hyp("a")))
+
+
+DEPTH = 2000
+# a formula that mentions the variable each ladder level binds, and one free
+LADDER_FORMULA = Imp(PredApp("P", (Var("x"),)), PredApp("P", (Var("y"),)))
+
+
+def prefix_chain(leaf):
+    """fst, snd, inl, reset and efq in turn, DEPTH deep, over the hypothesis
+    leaf."""
+    p = Hyp(leaf)
+    for i in range(DEPTH):
+        p = (Fst, Snd, Inl, Reset, Efq)[i % 5](p)
+    return p
+
+
+def binder_ladder(leaf):
+    """DEPTH levels, ``fun h => ...`` and ``tfun x => (... : P(x) -> P(y))``
+    in turn, over the hypothesis leaf."""
+    p = Hyp(leaf)
+    for i in range(DEPTH):
+        p = TLam("x", Ascribe(p, LADDER_FORMULA)) if i % 2 else PLam("h", p)
+    return p
+
+
+# Each walk on each shape over the leaf h (the chain) or a (the ladder), and
+# its result there.  alpha_eq_proof compares two distinct copies, then a
+# copy over another leaf.  Substitution (subst_proof_hyp, subst_proof_term)
+# still recurses once per node, so it is not in the table: ROADMAP item W
+# keeps it open.
+DEPTH_TABLE = [
+    ("fv_proof_hyps", lambda build, leaf: fv_proof_hyps(build(leaf)), {"h"}, {"a"}),
+    ("fv_proof_termvars", lambda build, leaf: fv_proof_termvars(build(leaf)), set(), {"y"}),
+    ("alpha_eq_proof", lambda build, leaf: alpha_eq_proof(build(leaf), build(leaf)), True, True),
+    ("alpha_eq_proof_other_leaf",
+     lambda build, leaf: alpha_eq_proof(build(leaf), build(leaf + "1")), False, False),
+    ("contains_shift", lambda build, leaf: contains_shift(build(leaf)), False, False),
+    ("contains_control", lambda build, leaf: contains_control(build(leaf)), True, False),
+    ("free_candidates", lambda build, leaf: free_candidates(build(leaf), leaf), {"h"}, {"a"}),
+]
+
+
+@pytest.mark.parametrize("shape", ["prefix_chain", "binder_ladder"])
+@pytest.mark.parametrize("run, on_chain, on_ladder", [row[1:] for row in DEPTH_TABLE],
+                         ids=[row[0] for row in DEPTH_TABLE])
+def test_proof_walks_at_depth(run, on_chain, on_ladder, shape):
+    if shape == "prefix_chain":
+        assert run(prefix_chain, "h") == on_chain
+    else:
+        assert run(binder_ladder, "a") == on_ladder
 
 
 def test_random_formulas_closed():
