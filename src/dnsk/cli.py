@@ -1,32 +1,59 @@
 """Command-line front end: check, translate, extract, eval, library.
 
 Exit codes: 0 success, 1 logical failure (rejected proof, stuck or
-unrealizable term), 2 usage or parse error, or input nested deeper than
-the Python stack allows (``dnsk: <file>: input nested too deeply`` on
-stderr).  Output is deterministic.
+unrealizable term), 2 usage or parse error, a file that is not UTF-8, or
+input nested deeper than the Python stack allows (``dnsk: <file>: input
+nested too deeply`` on stderr).  Output is deterministic.
+
+Every call is a fresh process that compiles what it imports, so this module
+imports only the front end all subcommands run (syntax, parser, printer,
+typecheck).  A subcommand loads translate, extract, evaluate or theorems
+when it starts; reading ``cli.<name>`` of one of their names loads it too.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .evaluate import EvalError, normalize_proof
-from .extract import ExtractionEnv, ExtractionError, extract_mr
 from .parser import (
     AxiomDecl, Directive, FormulaDecl, ParseError, PredDecl, ProofDecl,
     SourceFile, TermDecl, parse_source,
 )
 from .printer import print_formula, print_proof, print_term, print_type
 from .syntax import Signature, Var, contains_control, fresh_name, fv_formula, neg
-from .translate import (
-    TranslationError, _check_sort, dia_nn_simplify, dia_types, dia_formula, kuroda,
-    kuroda_inner, mr_formula, mr_type, mrt_formula, spector_target,
-)
 from .typecheck import Annotation, Context, check_proof, infer_term_type
-from .theorems import LIBRARY_SIGNATURE, build_library
+
+# module -> the names this module takes from it, bound by _need once a
+# subcommand runs that module
+_DEFERRED = {
+    "translate": ("TranslationError", "_check_sort", "dia_nn_simplify", "dia_types",
+                  "dia_formula", "kuroda", "kuroda_inner", "mr_formula", "mr_type",
+                  "mrt_formula", "spector_target"),
+    "extract": ("ExtractionEnv", "ExtractionError", "extract_mr"),
+    "evaluate": ("EvalError", "normalize_proof"),
+    "theorems": ("LIBRARY_SIGNATURE", "build_library"),
+}
+
+
+def _need(*modules: str) -> None:
+    """Import the modules and bind the names taken from them here.  A name
+    already bound on this module (a tracer's wrapper, a test's spy) is kept."""
+    names = globals()
+    for module in modules:
+        source = __import__(f"{__package__}.{module}", fromlist=_DEFERRED[module])
+        for name in _DEFERRED[module]:
+            names.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _need(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 TRANSLATE_MODES = ("kuroda", "kuroda-inner", "mr", "mrt", "dia", "dia-nn", "spector")
 
@@ -43,6 +70,8 @@ def _load(path: str) -> SourceFile:
             src = f.read()
     except OSError as e:
         raise _Failure(2, f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise _Failure(2, f"{path}: {e}") from e
     try:
         return parse_source(src)
     except ParseError as e:
@@ -79,6 +108,8 @@ def _selected(sf: SourceFile, kind: str, decl_cls) -> list:
 
 
 def _cmd_check(args, out) -> int:
+    import json
+
     sf = _load(args.file)
     sig = _signature(sf)
     ctx = _base_context(sf)
@@ -131,6 +162,7 @@ def _translate_one(sig: Signature, name: str, a, mode: str, out) -> None:
 
 
 def _cmd_translate(args, out) -> int:
+    _need("translate")
     sf = _load(args.file)
     sig = _signature(sf)
     code = 0
@@ -147,6 +179,7 @@ def _cmd_translate(args, out) -> int:
 
 
 def _cmd_extract(args, out) -> int:
+    _need("translate", "extract")
     sf = _load(args.file)
     sig = _signature(sf)
     ctx = _base_context(sf)
@@ -183,6 +216,7 @@ def _cmd_extract(args, out) -> int:
 
 
 def _cmd_eval(args, out) -> int:
+    _need("evaluate")
     sf = _load(args.file)
     sig = _signature(sf)
     ctx = _base_context(sf)
@@ -220,6 +254,7 @@ def _cmd_eval(args, out) -> int:
 
 
 def _cmd_library(args, out) -> int:
+    _need("theorems")
     entries = build_library()
     if args.list:
         for e in entries:

@@ -863,10 +863,13 @@ def fv_proof_termvars(p: ProofTerm) -> frozenset:
 def node_termvars(p: ProofTerm, memo: dict) -> frozenset:
     """Individual-variable names in the node p itself, not in its proof
     children: the free variables of its term and formula slots (read
-    through ``memo``, as in fv_term) and its variable binders."""
-    if type(p) is Hyp:
+    through ``memo``, as in fv_term) and its variable binders.  A hypothesis
+    has none; nor has a subject that is no proof form, which the extractor
+    then rejects as an unknown rule."""
+    plan = _PLANS.get(type(p))
+    if plan is None:
         return _NO_NAMES
-    get, children, leaves = _PLANS[type(p)]
+    get, children, leaves = plan
     vals = get(p)
     out = _NO_NAMES
     for i, leaf_fv, _, _ in leaves:

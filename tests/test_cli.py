@@ -1,5 +1,6 @@
 """The command-line front end: subcommands, exit codes, determinism."""
 
+import importlib.util
 import io
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+import dnsk
 from dnsk.cli import TRANSLATE_MODES, run
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
@@ -20,6 +22,11 @@ def invoke(*argv):
 
 def sample(name):
     return os.path.join(SAMPLES, name)
+
+
+def with_samples(argv):
+    """argv with each ``.dnsk`` name taken as a sample's path."""
+    return [sample(a) if a.endswith(".dnsk") else a for a in argv]
 
 
 def test_check_accepts(tmp_path):
@@ -111,6 +118,147 @@ def test_start_up_imports_neither_dataclasses_nor_inspect():
                             "print(sorted({'dataclasses', 'inspect'} & added))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["translate", "--mode", "kuroda"], ["extract"], ["eval"],
+])
+def test_input_that_is_not_utf8_is_usage_exit(tmp_path, argv):
+    # not a UnicodeDecodeError traceback with exit 1, which reads as a
+    # rejected proof
+    path = tmp_path / "latin1.dnsk"
+    path.write_bytes(b"pred P(nat).\naxiom h : P(0).\n# caf\xe9\n")
+    proc = run_python("-m", "dnsk.cli", *argv, str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"dnsk: {path}: ")
+
+
+# what `python -m dnsk.cli` runs, reporting the dnsk modules the call loaded
+# on the last line of stdout
+RUN_AS_MAIN = """
+import runpy, sys
+before = set(sys.modules)
+try:
+    runpy.run_module("dnsk.cli", run_name="__main__")
+except SystemExit as e:
+    code = e.code
+added = set(sys.modules) - before
+print(code, sorted(m[len("dnsk."):] for m in added if m.startswith("dnsk.")))
+"""
+
+FRONT = ["parser", "printer", "syntax", "typecheck"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["check", "dns20.dnsk"], []),
+    (["translate", "--mode", "dia", "translations.dnsk"], ["translate"]),
+    (["extract", "ep_demo.dnsk"], ["extract", "translate"]),
+    (["eval", "capture.dnsk"], ["evaluate"]),
+    (["library", "--check-all"], ["theorems"]),
+])
+def test_each_subcommand_imports_only_the_modules_it_runs(argv, modules):
+    # every dnsk call is a fresh process that compiles what it imports
+    proc = run_python("-c", RUN_AS_MAIN, *with_samples(argv))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {sorted(FRONT + modules)}"
+
+
+def test_import_dnsk_imports_no_kernel_module():
+    proc = run_python("-c", "import sys; import dnsk; "
+                            "print(sorted(m for m in sys.modules if m.startswith('dnsk.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+# each name bench/cli_probe.py wraps on the cli module, its defining module
+# and a command that calls it
+PROBED = [
+    ("parse_source", "parser", ["check", "dns20.dnsk"]),
+    ("check_proof", "typecheck", ["check", "dns20.dnsk"]),
+    ("print_proof", "printer", ["eval", "capture.dnsk"]),
+    ("normalize_proof", "evaluate", ["eval", "capture.dnsk"]),
+    ("print_formula", "printer", ["translate", "--mode", "kuroda", "translations.dnsk"]),
+    ("infer_term_type", "typecheck", ["extract", "ep_demo.dnsk"]),
+    ("extract_mr", "extract", ["extract", "ep_demo.dnsk"]),
+    ("build_library", "theorems", ["library", "--list"]),
+    ("kuroda", "translate", ["translate", "--mode", "kuroda", "translations.dnsk"]),
+    ("kuroda_inner", "translate", ["translate", "--mode", "kuroda-inner", "translations.dnsk"]),
+    ("mr_formula", "translate", ["translate", "--mode", "mr", "translations.dnsk"]),
+    ("mrt_formula", "translate", ["translate", "--mode", "mrt", "translations.dnsk"]),
+    ("dia_formula", "translate", ["translate", "--mode", "dia", "translations.dnsk"]),
+    ("dia_nn_simplify", "translate", ["translate", "--mode", "dia-nn", "translations.dnsk"]),
+    ("spector_target", "translate", ["translate", "--mode", "spector", "translations.dnsk"]),
+]
+
+
+@pytest.mark.parametrize("name, module, argv", PROBED)
+def test_a_name_rebound_on_cli_is_the_one_run_calls(name, module, argv):
+    # the traced cli run imports dnsk.cli, reads cli.<name> and rebinds it to
+    # a spanned wrapper before cli.run, so the cli layer figures depend on
+    # both; a module object of its own stands for that fresh import
+    spec = importlib.util.find_spec("dnsk.cli")
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    real = getattr(fresh, name)
+    assert real is getattr(sys.modules[f"dnsk.{module}"], name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    setattr(fresh, name, spy)
+    assert fresh.run(with_samples(argv), out=io.StringIO(), err=io.StringIO()) == 0
+    assert calls
+
+
+# every name the package exported when it imported its modules eagerly
+EXPORTED = {
+    "syntax": """
+        And App Arrow Ascribe BOT Bot Case Dest Efq Eq0 ExPair Exists Forall
+        Formula Hyp Imp KernelError KindedError Lam NAT Nat Or PApp PLam PPair
+        Pair PredApp ProofTerm Prod Proj1 Proj2 Rec Reset Shift Signature
+        SimpleType STAR Star Succ TApp TLam Term UNIT Unit Var ZERO Zero Fst
+        Snd Inl Inr alpha_eq_formula alpha_eq_proof alpha_eq_term
+        contains_control contains_shift fresh_name fv_formula fv_term is_prime
+        neg numeral numeral_value subst_formula subst_term
+    """,
+    "parser": "ParseError parse_formula parse_proof parse_source parse_term parse_type",
+    "printer": "print_formula print_proof print_term print_type",
+    "typecheck": """
+        Annotation CheckFailure CheckReport Context Derivation SortError
+        check_proof infer_term_type wf_formula
+    """,
+    "translate": """
+        DiaTypes TranslationError dia_formula dia_nn_simplify dia_types kuroda
+        kuroda_inner mr_formula mr_type mrt_formula spector_target
+    """,
+    "extract": "ExtractionEnv ExtractionError ac_realizer extract_mr",
+    "evaluate": """
+        EvalError FuelExhausted IllSorted Stuck eval_formula_bounded
+        normalize_proof normalize_term
+    """,
+    "theorems": """
+        LIBRARY_SIGNATURE TheoremEntry axiom_instance build_library get_entry
+        verify_library
+    """,
+}
+
+
+def test_package_exports_each_name_from_its_module():
+    star: dict = {}
+    exec("from dnsk import *", star)
+    for module, names in EXPORTED.items():
+        for name in names.split():
+            value = getattr(sys.modules[f"dnsk.{module}"], name)
+            assert getattr(dnsk, name) is value, name
+            assert star[name] is value, name
+    assert sorted(dnsk.__all__) == sorted(n for ns in EXPORTED.values() for n in ns.split())
+    with pytest.raises(AttributeError):
+        dnsk.nope
 
 
 def test_translate_modes():

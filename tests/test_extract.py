@@ -6,7 +6,7 @@ import pytest
 
 from dnsk.evaluate import normalize_term
 from dnsk.extract import (
-    ExtractionEnv, ExtractionError, _Extractor, ac_realizer, dummy, extract_mr,
+    ExtractionEnv, ExtractionError, ac_realizer, dummy, extract_mr,
     realizer_context,
 )
 from dnsk.parser import parse_formula, parse_proof, parse_type
@@ -107,10 +107,10 @@ def test_unrealizable_axiom_is_rejected():
 
 def test_subject_that_is_no_proof_form_is_an_unknown_rule():
     # the extractor selects a rule by its subject's class; extract_mr's name
-    # walk reads the subjects first, so the extractor is called directly
+    # walk reads the subjects first and passes over this one
     d = Derivation("ax", Annotation.PLAIN, Var("a"), parse_formula("P(0)"))
     with pytest.raises(ExtractionError) as exc:
-        _Extractor(ExtractionEnv(), (), {}).extract(d, {})
+        extract_mr(d, ExtractionEnv())
     assert exc.value.kind == "UnknownRule"
     assert str(exc.value) == "unhandled rule 'ax'"
 
