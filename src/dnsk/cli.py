@@ -203,13 +203,16 @@ def _cmd_extract(args, out) -> int:
         env = ExtractionEnv({}, realizers, unreal)
         try:
             term = extract_mr(report.derivation, env)
-            # an axiom's realizer is taken as written, so the term's sort is checked
-            _check_sort(ctx.term_vars, term, mr_type(decl.goal), "realizer")
+            sort = mr_type(decl.goal)
+            # an axiom's realizer is taken as written, so the term's sort is
+            # checked; the check is the one inference of it, through this
+            # module's name (a tracer may rebind it), and the sort printed is
+            # the goal's, which the check found equal
+            _check_sort(ctx.term_vars, term, sort, "realizer", infer_term_type)
         except (ExtractionError, TranslationError) as e:
             print(f"{decl.name}: ERROR {e.kind}: {e}", file=out)
             code = 1
             continue
-        sort = infer_term_type(ctx.term_vars, term)
         print(f"{decl.name} : {print_type(sort)}", file=out)
         print(f"{decl.name} := {print_term(term)}", file=out)
     return code

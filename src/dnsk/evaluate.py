@@ -35,18 +35,28 @@ part of a pair or application, the argument of an injection, projection or
 ``dest``, and the body of an existential pair, an ascription and a
 ``reset``.  It descends into the leftmost hole until it meets a value or a
 ``shift``, and ascends with a normal proof, rebuilding only the nodes whose
-hole changed, until a frame makes a redex.  After a contraction it goes on
-from the reduct in the same context (refocusing), never from the root, so
-finding a redex costs amortized constant time.
+hole changed, until a frame makes a redex.  Only a ``reset`` and the
+elimination forms (application, projection, type application, ``case`` and
+``dest``) can; any other frame is passed without a contraction attempt.
+After a contraction it goes on from the reduct in the same context
+(refocusing), never from the root, so finding a redex costs amortized
+constant time.
 
 A ``shift k => M`` in focus captures the frames above the nearest ``reset``
 frame, the delimited context F (Biernacka, Biernacki and Danvy, "An
 operational foundation for delimited continuations in the CPS hierarchy",
-2005).  Those frames are plugged twice: with the shift itself, to choose
-the fresh name ``a`` against the free hypotheses of the whole reset body,
-and with ``a``, to reify F as ``fun a => reset F[a]``.  The reset and
-its segment are replaced by ``reset M[k := fun a => reset F[a]]``.  A shift
-with no reset frame below it is ``Stuck``.
+2005).  F is reified as ``fun a => reset F[a]``, and the reset and its
+segment are replaced by ``reset M[k := fun a => reset F[a]]``.  The name
+``a`` is the first of ``a``, ``a1``, ... that is neither k nor free in
+F[shift].  No reduction step adds a free name and no frame binds one, so
+every name free at a capture is free in the input.  At the first capture
+one scan of the input, blind to binders, looks for a hypothesis named
+``a``, ``a1``, ... (``syntax.mentions_candidate``); if there is none, every
+capture of the call takes the first name other than k without a walk.
+Otherwise F[shift] is walked for its free candidate names: plugging the
+shift back into the frames it was taken from returns the original nodes,
+so the walk meets nodes it has seen before.  A shift with no reset frame
+below it is ``Stuck``.
 
 A capture, a beta step and a reset drop each cost time in the size of the
 frames and redex they touch, not of the whole reset body, so a ladder of
@@ -65,8 +75,9 @@ holding its node, so that no identity is reused while the call lasts:
   put it, the machine treats it as normal when it next descends to it,
   instead of walking it down again.
 
-Plugging a frame reuses the nodes below its hole, so after the first
-capture the walks stop at nodes already in the memos.  ``subst_proof_hyp``
+Plugging a frame reuses the nodes below its hole, and a frame whose hole
+and left part are unchanged is its own node, so after the first capture the
+walks stop at nodes already in the memos.  ``subst_proof_hyp``
 computes the free names of the substituted proof only at the first binder
 it meets, so a beta step into ``reset (f a)`` never reads its argument.
 
@@ -84,7 +95,7 @@ from .syntax import (
     Pair, PApp, PLam, PPair, PredApp, ProofTerm, Proj1, Proj2, Rec, Reset,
     Bot, Shift, Signature, Snd, Star, Succ, Term, TApp, TLam, ExPair, Var,
     Zero, HYP, PROOF, PROOF_SLOTS, VAR, contains_shift, free_candidates, fresh_name,
-    subst_formula, subst_proof_hyp, subst_proof_term,
+    mentions_candidate, subst_formula, subst_proof_hyp, subst_proof_term,
 )
 from .typecheck import SortError, infer_term_type
 
@@ -287,6 +298,11 @@ _HOLE_AT = {cls: slots.index(PROOF) for cls, slots in PROOF_SLOTS.items()
             if not {HYP, VAR} & set(slots[:slots.index(PROOF)])}
 _HOLE = {cls: cls.__match_args__[i] for cls, i in _HOLE_AT.items()}
 
+# the frames at which a redex can form, other than a reset: an elimination
+# form with an introduction form in its hole (a function on the left for
+# PApp); at any other frame _contract returns None
+_ELIMINATIONS = frozenset((PApp, Fst, Snd, TApp, Case, Dest))
+
 
 def _plug1(node: ProofTerm, left, q: ProofTerm) -> ProofTerm:
     """``node`` with q in its evaluation hole; ``left`` is None, or the normal
@@ -302,9 +318,14 @@ def _plug1(node: ProofTerm, left, q: ProofTerm) -> ProofTerm:
 
 
 def _plug(frames, q: ProofTerm) -> ProofTerm:
-    """The context ``frames`` (outermost first) with q in its hole."""
-    for node, left, _ in reversed(frames):
-        q = _plug1(node, left, q)
+    """The context ``frames`` (outermost first) with q in its hole.  A frame
+    whose hole gets back the proof it held, with its left part unchanged,
+    is its own node (the ascent's test), so plugging a context with the
+    proof it was taken from returns the original nodes."""
+    for node, left, hole in reversed(frames):
+        if q is not hole or (left is not None and left is not getattr(node, _HOLE[type(node)])):
+            node = _plug1(node, left, q)
+        q = node
     return q
 
 
@@ -361,7 +382,8 @@ def normalize_proof(p: ProofTerm, fuel: int = 10000, trace: bool = False):
     stack = []
     focus, normal = p, False
     # the per-call memos of the module docstring, made at first use: free
-    # candidate names, has-shift flags and the known-normal beta arguments
+    # candidate names, has-shift flags and the known-normal beta arguments;
+    # fv_memo is False once the scan of p has found no candidate name
     fv_memo = shift_memo = known = None
     while True:
         if normal:
@@ -379,13 +401,15 @@ def normalize_proof(p: ProofTerm, fuel: int = 10000, trace: bool = False):
                     if shift_memo is None:
                         shift_memo = {}
                     reduct = None if contains_shift(v, shift_memo) else v
-                else:
+                elif cls in _ELIMINATIONS:
                     reduct = _contract(node, left, v)
                     # a beta argument is normal wherever it is substituted
                     if cls is PApp and reduct is not None and type(v) in _HOLE:
                         if known is None:
                             known = {}
                         known[id(v)] = v
+                else:
+                    reduct = None
                 if reduct is not None:
                     # a part of a normal pair, and the body of a dropped
                     # reset, are normal
@@ -427,8 +451,11 @@ def normalize_proof(p: ProofTerm, fuel: int = 10000, trace: bool = False):
             del stack[i:]
             k = focus.hyp
             if fv_memo is None:
-                fv_memo = {}
-            a = fresh_name("a", free_candidates(_plug(frames, focus), "a", fv_memo) | {k})
+                fv_memo = {} if mentions_candidate(p, "a") else False
+            avoid = {k}
+            if fv_memo is not False:
+                avoid |= free_candidates(_plug(frames, focus), "a", fv_memo)
+            a = fresh_name("a", avoid)
             cont = PLam(a, Reset(_plug(frames, Hyp(a))))
             reduct = Reset(subst_proof_hyp(focus.body, k, cont))
         # contract: the reduct replaces the redex, and refocusing starts at it

@@ -70,7 +70,9 @@ class _Extractor:
     a realizer enters only the subterms in which its variable occurs.
     ``sorts`` is the memo of realizer sorts by formula identity (see
     translate.mr_type), so goals that share subformulas compute their
-    sorts once."""
+    sorts once.  ``local`` maps the hypotheses bound above the node being
+    extracted to their realizer variables; a binder binds its hypothesis in
+    place and restores the outer binding after its body."""
 
     def __init__(self, env: ExtractionEnv, avoid, memo: dict):
         self.env = env
@@ -79,13 +81,23 @@ class _Extractor:
         self.avoid = set(avoid)
         for t in env.axiom_realizers.values():
             self.avoid |= fv_term(t)
+        # base -> the index after its last pick (0 is the base itself)
+        self.next: dict = {}
 
     def fresh(self, base: str) -> str:
-        name = fresh_name(base, self.avoid)
+        """fresh_name(base, self.avoid), which then joins self.avoid.  The
+        search resumes after the base's last pick: avoid only grows, so
+        every earlier candidate is still taken."""
+        i = self.next.get(base, 0)
+        name = f"{base}{i}" if i else base
+        while name in self.avoid:
+            i += 1
+            name = f"{base}{i}"
+        self.next[base] = i + 1
         self.avoid.add(name)
         return name
 
-    def extract(self, d: Derivation, local: Mapping[str, str]) -> Term:
+    def extract(self, d: Derivation, local: dict) -> Term:
         # check_proof makes each rule's subject that rule's proof form, so
         # the subject's class selects the rule, tested by identity
         form = type(d.subject)
@@ -114,7 +126,9 @@ class _Extractor:
             assert isinstance(goal, Imp)
             a = d.subject.hyp
             v = self.fresh("r")
-            body = self.extract(kids[0], {**local, a: v})
+            outer, local[a] = local.get(a), v
+            body = self.extract(kids[0], local)
+            _restore(local, a, outer)
             return Lam(v, mr_type(goal.left, self.sorts), body)
         if form is PPair:
             return Pair(self.extract(kids[0], local), self.extract(kids[1], local))
@@ -135,7 +149,9 @@ class _Extractor:
             s = self.extract(kids[0], local)
             node = d.subject
             v = self.fresh("r")
-            body = self.extract(kids[1], {**local, node.hyp: v})
+            outer, local[node.hyp] = local.get(node.hyp), v
+            body = self.extract(kids[1], local)
+            _restore(local, node.hyp, outer)
             body = subst_term(body, v, Proj1(s), self.memo)
             body = subst_term(body, node.var, Proj2(s), self.memo)
             return body
@@ -146,8 +162,14 @@ class _Extractor:
             case_node = d.subject
             v1 = self.fresh("r")
             v2 = self.fresh("r")
-            left = self.extract(kids[1], {**local, case_node.left_name: v1})
-            right = self.extract(kids[2], {**local, case_node.right_name: v2})
+            a = case_node.left_name
+            outer, local[a] = local.get(a), v1
+            left = self.extract(kids[1], local)
+            _restore(local, a, outer)
+            a = case_node.right_name
+            outer, local[a] = local.get(a), v2
+            right = self.extract(kids[2], local)
+            _restore(local, a, outer)
             left = subst_term(left, v1, Proj1(Proj1(s)), self.memo)
             right = subst_term(right, v2, Proj2(Proj1(s)), self.memo)
             return _cond(mr_type(goal, self.sorts), Proj2(s), left, right, self.memo)
@@ -165,6 +187,15 @@ class _Extractor:
                 "extraction is defined only for control-free derivations",
             )
         raise ExtractionError("UnknownRule", f"unhandled rule {d.rule!r}")
+
+
+def _restore(local: dict, hyp: str, outer) -> None:
+    """Undo a binder's ``local[hyp] = ...``; ``outer`` is the binding it
+    shadowed, or None."""
+    if outer is None:
+        del local[hyp]
+    else:
+        local[hyp] = outer
 
 
 def _names_in(d: Derivation, out: set, memo: dict) -> None:

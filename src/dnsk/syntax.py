@@ -730,33 +730,45 @@ def _subst(p: ProofTerm, ns: str, x: str, r, rfv: Mapping) -> ProofTerm:
     if cls is Hyp:
         return r if ns == HYP and p.name == x else p
     get, children, leaves = _PLANS[cls]
-    old = get(p)
-    vals = list(old)
+    # the field values, copied into a list at the first one that changes
+    old = vals = get(p)
     for i, binders in children:
         child = vals[i]
-        if binders:
-            if any(kind == ns and vals[j] == x for j, kind in binders):
-                continue
-            for j, kind in binders:
-                b = vals[j]
-                names = rfv[kind]
-                if names[0] is None:
-                    names[0] = _free_names(r, kind) if ns == HYP else fv_term(r)
-                if b in names[0]:
-                    avoid = names[0] | _free_names(child, kind)
-                    b2 = fresh_name(b, avoid | {x} if kind == ns else avoid)
-                    if kind == HYP:
-                        child = subst_proof_hyp(child, b, Hyp(b2))
-                    else:
-                        child = subst_proof_term(child, b, Var(b2))
-                    vals[j] = b2
-        vals[i] = _subst(child, ns, x, r, rfv)
+        shadowed = False
+        for j, kind in binders:
+            if kind == ns and vals[j] == x:
+                shadowed = True
+                break
+        if shadowed:
+            continue
+        for j, kind in binders:
+            b = vals[j]
+            names = rfv[kind]
+            if names[0] is None:
+                names[0] = _free_names(r, kind) if ns == HYP else fv_term(r)
+            if b in names[0]:
+                avoid = names[0] | _free_names(child, kind)
+                b2 = fresh_name(b, avoid | {x} if kind == ns else avoid)
+                if kind == HYP:
+                    child = subst_proof_hyp(child, b, Hyp(b2))
+                else:
+                    child = subst_proof_term(child, b, Var(b2))
+                if vals is old:
+                    vals = list(old)
+                vals[j] = b2
+        child = _subst(child, ns, x, r, rfv)
+        if child is not vals[i]:
+            if vals is old:
+                vals = list(old)
+            vals[i] = child
     if ns == VAR:
         for i, _, subst, _ in leaves:
-            vals[i] = subst(vals[i], x, r, rfv[VAR])
-    if all(map(is_, vals, old)):
-        return p
-    return cls(*vals)
+            leaf = subst(vals[i], x, r, rfv[VAR])
+            if leaf is not vals[i]:
+                if vals is old:
+                    vals = list(old)
+                vals[i] = leaf
+    return p if vals is old else cls(*vals)
 
 
 def _memo_walk(p: ProofTerm, memo: dict, leaves: Mapping, at_node):
@@ -795,7 +807,10 @@ def _memo_walk(p: ProofTerm, memo: dict, leaves: Mapping, at_node):
 
 
 def _any_child(vals, children, slots, memo) -> bool:
-    return any(memo[id(vals[i])][1] for i, _ in children)
+    for i, _ in children:
+        if memo[id(vals[i])][1]:
+            return True
+    return False
 
 
 _no, _yes = (lambda p: False), (lambda p: True)
@@ -847,12 +862,37 @@ def free_candidates(p: ProofTerm, base: str, memo: Optional[dict] = None) -> fro
     across calls with this one base, holds the names of every node walked
     (see _memo_walk)."""
     def leaf(q):
-        # fresh_name(base, ...) returns base or base followed by digits
-        rest = q.name[len(base):]
-        if q.name.startswith(base) and (not rest or rest.isdigit()):
-            return frozenset((q.name,))
-        return _NO_NAMES
+        return frozenset((q.name,)) if _is_candidate(q.name, base) else _NO_NAMES
     return _memo_walk(p, {} if memo is None else memo, {Hyp: leaf}, _FREE_AT[HYP])
+
+
+def _is_candidate(name: str, base: str) -> bool:
+    # fresh_name(base, ...) returns base or base followed by digits
+    rest = name[len(base):]
+    return name.startswith(base) and (not rest or rest.isdigit())
+
+
+def mentions_candidate(p: ProofTerm, base: str) -> bool:
+    """True if a hypothesis of p, free or bound, has a name that
+    fresh_name(base, ...) could return.  The scan ignores binders, so a
+    False answer means free_candidates(p, base) is empty; it stops at the
+    first such name and enters a shared node once."""
+    seen = set()
+    stack = [p]
+    pop, push = stack.pop, stack.append
+    while stack:
+        q = pop()
+        cls = type(q)
+        if cls is Hyp:
+            if _is_candidate(q.name, base):
+                return True
+        elif id(q) not in seen:
+            seen.add(id(q))
+            get, children, _ = _PLANS[cls]
+            vals = get(q)
+            for i, _ in children:
+                push(vals[i])
+    return False
 
 
 def fv_proof_termvars(p: ProofTerm) -> frozenset:

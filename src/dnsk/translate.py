@@ -124,12 +124,13 @@ def _mr(t: Term, a: Formula, names: _Names, with_truth: bool) -> Formula:
 
 
 def _check_sort(ctx_vars: Mapping[str, SimpleType], t: Term, want: SimpleType,
-                role: str) -> None:
+                role: str, infer=infer_term_type) -> None:
     """Raise the role's TranslationError (``RealizerTypeMismatch`` for the
-    realizer, and so on) unless ``t`` is well-sorted of sort ``want``."""
+    realizer, and so on) unless ``t`` is well-sorted of sort ``want``, as
+    ``infer`` (infer_term_type, or a caller's wrapper of it) finds it."""
     kind = f"{role.capitalize()}TypeMismatch"
     try:
-        got = infer_term_type(ctx_vars, t)
+        got = infer(ctx_vars, t)
     except SortError as e:
         raise TranslationError(kind, str(e)) from e
     if got != want:
@@ -217,12 +218,19 @@ def _dia(t: Term, s: Term, a: Formula) -> Formula:
     raise TypeError(f"not a formula: {a!r}")
 
 
-def dia_formula(sig: Signature, ctx_vars: Mapping[str, SimpleType], t: Term, s: Term,
-                a: Formula) -> Formula:
-    """The quantifier-free kernel of ``a`` at witness ``t`` and challenge ``s``."""
+def _check_dia_sorts(ctx_vars: Mapping[str, SimpleType], t: Term, s: Term,
+                     a: Formula) -> None:
+    """Raise ``WitnessTypeMismatch`` or ``ChallengeTypeMismatch`` unless ``t``
+    and ``s`` have the witness and challenge sorts of ``a``."""
     d = dia_types(a)
     _check_sort(ctx_vars, t, d.witness, "witness")
     _check_sort(ctx_vars, s, d.challenge, "challenge")
+
+
+def dia_formula(sig: Signature, ctx_vars: Mapping[str, SimpleType], t: Term, s: Term,
+                a: Formula) -> Formula:
+    """The quantifier-free kernel of ``a`` at witness ``t`` and challenge ``s``."""
+    _check_dia_sorts(ctx_vars, t, s, a)
     return _dia(t, s, a)
 
 
@@ -241,9 +249,7 @@ def dia_nn_simplify(sig: Signature, ctx_vars: Mapping[str, SimpleType], a: Formu
     """Simplify the translation of a double negation: given a witness and a
     challenge for ``~~a``, produce the direct translation of ``a`` at the
     projected compound indices."""
-    d = dia_types(neg(neg(a)))
-    _check_sort(ctx_vars, t, d.witness, "witness")
-    _check_sort(ctx_vars, s, d.challenge, "challenge")
+    _check_dia_sorts(ctx_vars, t, s, neg(neg(a)))
     w, c = _nn_indices(t, s)
     return _dia(w, c, a)
 

@@ -215,6 +215,40 @@ def test_a_name_rebound_on_cli_is_the_one_run_calls(name, module, argv):
     assert calls
 
 
+def test_extract_infers_each_realizer_sort_once(monkeypatch, tmp_path):
+    # the realizer's sort is checked against the goal's and not inferred
+    # again for the printed sort line; every entry point of the inference is
+    # spied, and only top-level calls count
+    import dnsk.cli
+    import dnsk.translate
+    import dnsk.typecheck
+    from dnsk.printer import print_term
+
+    real = dnsk.typecheck.infer_term_type
+    depth, top = [0], []
+
+    def spy(term_vars, t):
+        if not depth[0]:
+            top.append(print_term(t))
+        depth[0] += 1
+        try:
+            return real(term_vars, t)
+        finally:
+            depth[0] -= 1
+
+    for module in (dnsk.typecheck, dnsk.translate, dnsk.cli):
+        monkeypatch.setattr(module, "infer_term_type", spy)
+    src = tmp_path / "two.dnsk"
+    src.write_text("pred P(nat).\n"
+                   "proof i : P(0) -> P(0) := fun h => h.\n"
+                   "proof p : exists x:nat. P(x) -> P(x) := [S 0, fun h => h].\n")
+    code, out, _ = invoke("extract", str(src))
+    assert code == 0, out
+    realizers = [line.split(" := ", 1)[1] for line in out.splitlines() if " := " in line]
+    assert len(realizers) == 2
+    assert [t for t in top if t in realizers] == realizers
+
+
 # every name the package exported when it imported its modules eagerly
 EXPORTED = {
     "syntax": """

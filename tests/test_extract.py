@@ -1,17 +1,20 @@
 """Realizer extraction from control-free derivations."""
 
 import random
+import time
 
 import pytest
 
 from dnsk.evaluate import normalize_term
 from dnsk.extract import (
-    ExtractionEnv, ExtractionError, ac_realizer, dummy, extract_mr,
+    ExtractionEnv, ExtractionError, _Extractor, ac_realizer, dummy, extract_mr,
     realizer_context,
 )
 from dnsk.parser import parse_formula, parse_proof, parse_type
 from dnsk.printer import print_term
-from dnsk.syntax import NAT, Var, numeral_value
+from dnsk.syntax import (
+    BOT, NAT, Forall, Hyp, Imp, PLam, PredApp, TLam, Var, fresh_name, numeral_value,
+)
 from dnsk.translate import mr_formula, mr_type
 from dnsk.typecheck import Annotation, Context, Derivation, check_proof, infer_term_type
 from conftest import TEST_SIGNATURE, random_derivation
@@ -77,6 +80,53 @@ def test_case_conditional_does_not_capture_branch_variables():
     assert infer_term_type(realizer_context(ctx.term_vars, ctx.hyps, env), term) == \
         mr_type(goal) == parse_type("unit * nat")
     assert print_term(term.step) == "fun (_n:nat) => fun (_r1:unit * nat) => (x_g, _r)"
+
+
+def test_binders_restore_the_realizer_they_shadow():
+    # an inner binder of the same name, then the outer binding again, both
+    # for a bound hypothesis and for one of the environment
+    term, _, _ = extract("fun h => (fun h => h, h)", "P(0) -> (R -> R) /\\ P(0)")
+    assert print_term(term) == "fun (r:unit) => (fun (r1:unit) => r1, r)"
+    term, _, _ = extract("((fun h => h, h), case c of h => h | g => h)",
+                         "((P(0) -> P(0)) /\\ R) /\\ R", h="R", c="R \\/ R")
+    assert print_term(term) == ("((fun (r:unit) => r, x_h), rec[unit](x_c.2; x_c.1.1; "
+                                "fun (_n:nat) => fun (_r:unit) => x_h))")
+
+
+def test_fresh_realizer_names_resume_after_the_last_pick():
+    avoid = {"r", "r2", "s"}
+    ex = _Extractor(ExtractionEnv(), avoid, {})
+    names = [ex.fresh(base) for base in ("r", "r", "s", "r", "s")]
+    expected = []
+    for base in ("r", "r", "s", "r", "s"):
+        expected.append(fresh_name(base, avoid))
+        avoid.add(expected[-1])
+    assert names == expected == ["r1", "r3", "s1", "r4", "s2"]
+
+
+def test_binder_ladder_extracts_in_linear_time():
+    # tfun x0 => fun h0 => tfun x1 => ... : each fun takes a fresh realizer
+    # variable and binds its hypothesis, in time that must not grow with the
+    # number of binders above it
+    def ladder(n):
+        goal, proof = BOT, Hyp("b")
+        for i in reversed(range(n)):
+            goal = Forall(f"x{i}", NAT, Imp(PredApp("P", (Var(f"x{i}"),)), goal))
+            proof = TLam(f"x{i}", PLam(f"h{i}", proof))
+        report = check_proof(SIG, Context({}, {"b": BOT}), Annotation.PLAIN, proof, goal)
+        assert report.ok, report.error
+        return report.derivation
+
+    env = ExtractionEnv({"b": "x_b"}, {}, frozenset())
+    cases = {n: ladder(n) for n in (100, 200, 400)}
+    best = dict.fromkeys(cases, float("inf"))
+    for _ in range(7):  # sizes interleaved, so a slow spell hits all of them
+        for n, d in cases.items():
+            start = time.perf_counter()
+            extract_mr(d, env)
+            best[n] = min(best[n], time.perf_counter() - start)
+    t100, t200, t400 = best.values()
+    assert t200 <= 2.5 * t100 and t400 <= 2.5 * t200, best
 
 
 def test_bot_elim_gives_dummy():

@@ -3,13 +3,20 @@ reducer it replaced (``reference_evaluate``), which steps from the root and
 needs one unit of fuel more for the same number of steps.  Traces are
 compared with ``==``, so every configuration, every fresh continuation name
 and every kept ascription must agree, and so must the ``Stuck`` and
-``FuelExhausted`` outcomes."""
+``FuelExhausted`` outcomes.  The check also runs without pytest, on the
+standard library alone, with ``scale`` times the seeded random proofs of the
+tier-1 run:
+
+    PYTHONPATH=src python tests/test_proof_machine.py [scale]
+"""
 
 import gc
 import random
+import sys
 
 import reference_evaluate as ref
-from dnsk.evaluate import FuelExhausted, Stuck, normalize_proof
+from dnsk import evaluate
+from dnsk.evaluate import FuelExhausted, Stuck, _plug, normalize_proof
 from dnsk.syntax import (
     And, Ascribe, BOT, Case, Dest, Efq, Eq0, ExPair, Exists, Forall, Fst, Hyp,
     Imp, Inl, Inr, NAT, Or, PApp, PLam, PPair, PredApp, Reset, Shift, Snd,
@@ -197,19 +204,23 @@ def test_rule_redexes_traces_equal():
             assert_fuel_boundary(p)
 
 
-def test_random_segment_proofs_traces_equal():
+def segment_proofs_agree(n):
     rng = random.Random(11)
-    for _ in range(40):
+    for _ in range(n):
         p = segments(rng, rng.randrange(2, 16))
         assert isinstance(assert_same(p), tuple)
         assert_fuel_boundary(p)
 
 
-def test_random_redex_rich_proofs_outcomes_equal():
+def test_random_segment_proofs_traces_equal():
+    segment_proofs_agree(40)
+
+
+def redex_rich_proofs_agree(n):
     rng = random.Random(2026)
     seen = set()
     runs = []
-    for _ in range(1500):
+    for _ in range(n):
         p = gen_redexy(rng, rng.randrange(1, 6))
         # the smaller fuel cuts some reductions short, at the same step
         for fuel in (40, rng.randrange(0, 6)):
@@ -222,6 +233,10 @@ def test_random_redex_rich_proofs_outcomes_equal():
     gc.collect()
     for p, fuel, out in reversed(runs):
         assert outcome(normalize_proof, p, fuel) == out, p
+
+
+def test_random_redex_rich_proofs_outcomes_equal():
+    redex_rich_proofs_agree(1500)
 
 
 def test_deep_nested_ladders_reach_their_normal_form():
@@ -308,3 +323,102 @@ def test_capture_names_avoid_deep_free_names():
     # the second proof of each pair captures with k = a; the last one first
     # reduces the reset inside its body
     assert names == ["a1", "a1", "a2", "a2", "a", "a2", "a", "a1", "a3", None]
+
+
+def capture(body):
+    return Reset(PApp(Hyp("f"), Shift("k", PApp(Hyp("k"), body))))
+
+
+# proofs whose captures meet the candidate names a, a1, ... of the
+# continuation only under binders, a free a2 but no a, and no such name
+BOUND_CANDIDATES = [
+    capture(PLam("a", Hyp("a"))),
+    capture(PPair(PLam("a1", PApp(Hyp("a1"), Hyp("b"))), Hyp("b"))),
+    capture(Case(Hyp("c"), "a", Hyp("a"), "a1", Reset(PApp(Hyp("a1"), Hyp("b"))))),
+    PApp(PLam("a", capture(Hyp("a"))), Hyp("b")),
+    Reset(PPair(PLam("a", Hyp("a")), Shift("a", PApp(Hyp("a"), Hyp("b"))))),
+]
+FREE_A2 = [
+    capture(Hyp("a2")),
+    capture(PPair(Hyp("a2"), PLam("a", Hyp("a")))),
+    Reset(PPair(Hyp("a2"), Shift("a", PApp(Hyp("a"), Hyp("a2"))))),
+    capture(capture(PPair(Hyp("a2"), Hyp("a10")))),
+]
+NO_CANDIDATE = [
+    capture(Hyp("b")),
+    capture(PPair(Hyp("ab"), Hyp("b2"))),
+    Reset(PPair(Hyp("b"), Shift("k", PApp(Hyp("k"), PApp(Hyp("k"), Hyp("b")))))),
+    capture(capture(capture(Hyp("z")))),
+    PApp(PLam("u", capture(Hyp("u"))), Hyp("b")),
+]
+
+
+def test_capture_names_with_and_without_candidate_names_traces_equal():
+    for p in BOUND_CANDIDATES + FREE_A2 + NO_CANDIDATE:
+        assert isinstance(assert_same(p), tuple), p
+        assert_fuel_boundary(p)
+    # a bound a, and a free a2, leave the name a to the continuation; with
+    # k = a it takes a1
+    for p, name in ((BOUND_CANDIDATES[0], "a"), (FREE_A2[0], "a"), (FREE_A2[2], "a1")):
+        _, steps = normalize_proof(p, trace=True)
+        assert steps[1].body.fn.hyp == name
+
+
+def test_capture_without_candidate_names_skips_the_name_walk(monkeypatch):
+    walked = []
+
+    def walk(p, base, memo):
+        walked.append(p)
+        raise LookupError("the capture walked its context")
+
+    expected = [ref.normalize_proof(p, 401, trace=True) for p in NO_CANDIDATE]
+    monkeypatch.setattr(evaluate, "free_candidates", walk)
+    for p, out in zip(NO_CANDIDATE, expected):
+        assert normalize_proof(p, 400, trace=True) == out
+    assert not walked
+    # a free a sends the capture to the walk
+    try:
+        normalize_proof(capture(Hyp("a")))
+    except LookupError:
+        pass
+    assert walked
+
+
+def frames_to(p, path):
+    """The machine's frames from p down the fields of ``path``, each
+    (node, normal left part or None, hole), and the proof at their end."""
+    frames = []
+    for field in path:
+        left = None
+        if field == "snd" and type(p) is PPair:
+            left = p.fst
+        elif field == "arg" and type(p) is PApp:
+            left = p.fn
+        frames.append((p, left, getattr(p, field)))
+        p = getattr(p, field)
+    return frames, p
+
+
+def test_plugging_unchanged_frames_returns_the_original_nodes():
+    shift = Shift("k", PApp(Hyp("k"), Hyp("b")))
+    p = Reset(PApp(Hyp("f"), PPair(Hyp("b"), Fst(Ascribe(Inl(shift), Or(P0, P0))))))
+    frames, q = frames_to(p, ("body", "arg", "snd", "arg", "body", "arg"))
+    assert q is shift
+    assert _plug(frames, shift) is p
+    # from the first frame whose hole or left part changed, the nodes are new
+    out = _plug(frames, Hyp("b"))
+    assert out != p and out.body.fn is p.body.fn
+    assert out is not p and out.body is not p.body
+    node, left, hole = frames[2]
+    frames[2] = (node, Hyp("b"), hole)
+    out = _plug(frames, shift)
+    assert out == p and out is not p and out.body.arg is not p.body.arg
+    assert out.body.arg.snd is p.body.arg.snd
+
+
+if __name__ == "__main__":
+    scale = int(sys.argv[1]) if len(sys.argv) > 1 else 1
+    segment_proofs_agree(40 * scale)
+    redex_rich_proofs_agree(1500 * scale)
+    print(f"python {sys.version.split()[0]}: {40 * scale} segment proofs and "
+          f"{1500 * scale} redex-rich proofs reduce as the reference does")

@@ -143,6 +143,18 @@ def test_memoized_walks_match_hand_written():
     memoized_walks_agree(2000)
 
 
+def hyp_names(p):
+    """The names of every hypothesis of p, free or bound."""
+    if type(p) is Hyp:
+        return {p.name}
+    out = set()
+    for f in type(p).__match_args__:
+        v = getattr(p, f)
+        if type(v) in CONSTRUCTORS:
+            out |= hyp_names(v)
+    return out
+
+
 def memoized_walks_agree(n):
     """The explicit-stack walks, each with one memo across every call and
     with subproofs shared between calls, against the hand-written ones."""
@@ -160,6 +172,9 @@ def memoized_walks_agree(n):
             assert names == {n for n in fv if n in (base, base + "1")}
             k = rng.choice(HYPS)
             assert syntax.fresh_name(base, names | {k}) == syntax.fresh_name(base, fv | {k})
+            mentioned = syntax.mentions_candidate(p, base)
+            assert mentioned == bool(hyp_names(p) & {base, base + "1"})
+            assert mentioned or not names
         assert syntax.contains_shift(p, memos["shift"]) == ref.contains_shift(p)
 
 

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from dnsk.syntax import (
-    And, App, Ascribe, Efq, Eq0, Exists, Forall, Fst, Hyp, Imp, Inl, Lam, NAT, Pair, PLam,
+    And, App, Ascribe, PPair, Efq, Eq0, Exists, Forall, Fst, Hyp, Imp, Inl, Lam, NAT, Pair, PLam,
     PredApp, Reset, Shift, Snd, Succ, TLam, Var, ZERO, alpha_eq_formula, alpha_eq_proof,
     alpha_eq_term, contains_control, contains_shift, free_candidates, fresh_name,
+    mentions_candidate,
     fv_formula, fv_proof_hyps, fv_proof_termvars, fv_term, neg, numeral, numeral_value,
     subst_formula, subst_proof_term, subst_term,
 )
@@ -168,6 +169,7 @@ DEPTH_TABLE = [
     ("contains_shift", lambda build, leaf: contains_shift(build(leaf)), False, False),
     ("contains_control", lambda build, leaf: contains_control(build(leaf)), True, False),
     ("free_candidates", lambda build, leaf: free_candidates(build(leaf), leaf), {"h"}, {"a"}),
+    ("mentions_candidate", lambda build, leaf: mentions_candidate(build(leaf), leaf), True, True),
 ]
 
 
@@ -179,6 +181,16 @@ def test_proof_walks_at_depth(run, on_chain, on_ladder, shape):
         assert run(prefix_chain, "h") == on_chain
     else:
         assert run(binder_ladder, "a") == on_ladder
+
+
+def test_candidate_scan_enters_a_shared_node_once():
+    # 2**60 paths through 61 nodes; a bound a counts, a name like ab does not
+    p = PPair(Hyp("ab"), PLam("u", Hyp("a1x")))
+    for _ in range(60):
+        p = PPair(p, p)
+    assert not mentions_candidate(p, "a")
+    assert mentions_candidate(PPair(p, PLam("a7", Hyp("a7"))), "a")
+    assert mentions_candidate(PPair(Hyp("a"), p), "a")
 
 
 def test_random_formulas_closed():
