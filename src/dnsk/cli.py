@@ -8,7 +8,8 @@ nested too deeply`` on stderr).  Output is deterministic.
 Every call is a fresh process that compiles what it imports, so this module
 imports only the front end all subcommands run (syntax, parser, printer,
 typecheck).  A subcommand loads translate, extract, evaluate or theorems
-when it starts; reading ``cli.<name>`` of one of their names loads it too.
+when it starts, binding here the names ``dnsk`` exports from it; reading
+``cli.<name>`` of one of those names loads its module too.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import os
 import sys
 
+from . import _EXPORTS, _HOME
 from .parser import (
     AxiomDecl, Directive, FormulaDecl, ParseError, PredDecl, ProofDecl,
     SourceFile, TermDecl, parse_source,
@@ -25,34 +27,27 @@ from .printer import print_formula, print_proof, print_term, print_type
 from .syntax import Signature, Var, contains_control, fresh_name, fv_formula, neg
 from .typecheck import Annotation, Context, check_proof, infer_term_type
 
-# module -> the names this module takes from it, bound by _need once a
-# subcommand runs that module
-_DEFERRED = {
-    "translate": ("TranslationError", "_check_sort", "dia_nn_simplify", "dia_types",
-                  "dia_formula", "kuroda", "kuroda_inner", "mr_formula", "mr_type",
-                  "mrt_formula", "spector_target"),
-    "extract": ("ExtractionEnv", "ExtractionError", "extract_mr"),
-    "evaluate": ("EvalError", "normalize_proof"),
-    "theorems": ("LIBRARY_SIGNATURE", "build_library"),
-}
+# the modules a subcommand loads when it starts
+_DEFERRED = ("translate", "extract", "evaluate", "theorems")
 
 
 def _need(*modules: str) -> None:
-    """Import the modules and bind the names taken from them here.  A name
-    already bound on this module (a tracer's wrapper, a test's spy) is kept."""
+    """Import the modules and bind here the names the package exports from them,
+    keeping a name already bound on this module (a tracer's wrapper, a spy)."""
     names = globals()
     for module in modules:
-        source = __import__(f"{__package__}.{module}", fromlist=_DEFERRED[module])
-        for name in _DEFERRED[module]:
+        exported = _EXPORTS[module].split()
+        source = __import__(f"{__package__}.{module}", fromlist=exported)
+        for name in exported:
             names.setdefault(name, getattr(source, name))
 
 
 def __getattr__(name: str):
-    for module, names in _DEFERRED.items():
-        if name in names:
-            _need(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _HOME.get(name)
+    if module not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _need(module)
+    return globals()[name]
 
 
 TRANSLATE_MODES = ("kuroda", "kuroda-inner", "mr", "mrt", "dia", "dia-nn", "spector")
@@ -83,14 +78,8 @@ def _signature(sf: SourceFile) -> Signature:
 
 
 def _base_context(sf: SourceFile) -> Context:
-    ctx = Context()
-    for d in sf.decls:
-        match d:
-            case AxiomDecl(name, formula, _):
-                ctx = ctx.with_hyp(name, formula)
-            case TermDecl(name, sort, _):
-                ctx = ctx.with_var(name, sort)
-    return ctx
+    return Context({d.name: d.sort for d in sf.of_type(TermDecl)},
+                   {d.name: d.formula for d in sf.of_type(AxiomDecl)})
 
 
 def _selected(sf: SourceFile, kind: str, decl_cls) -> list:
@@ -107,22 +96,40 @@ def _selected(sf: SourceFile, kind: str, decl_cls) -> list:
     return picked
 
 
+def _each_proof(sf: SourceFile, out, kind: str, run, refuse=None, rejected=None) -> int:
+    """Check, extract and eval: check each proof declaration the ``kind``
+    directives select under its annotation and the file's axioms and term
+    declarations.  ``refuse(decl)`` may give an error that skips the check; a
+    rejection prints ``rejected(report)`` or a REJECTED line; ``run(decl,
+    report, ctx)`` prints an accepted proof's outcome and returns its exit
+    code.  Returns 1 if any declaration failed, else 0."""
+    sig, ctx = _signature(sf), _base_context(sf)
+    code = 0
+    for decl, _ in _selected(sf, kind, ProofDecl):
+        error = None if refuse is None else refuse(decl)
+        if error is None:
+            report = check_proof(sig, ctx, Annotation(decl.annotation), decl.proof, decl.goal)
+            if report.ok:
+                code |= run(decl, report, ctx)
+                continue
+            error = (rejected(report) if rejected else
+                     f"REJECTED {report.error.kind}: {report.error.message}")
+        print(f"{decl.name}: {error}", file=out)
+        code = 1
+    return code
+
+
 def _cmd_check(args, out) -> int:
     import json
 
-    sf = _load(args.file)
-    sig = _signature(sf)
-    ctx = _base_context(sf)
-    code = 0
-    for decl, _ in _selected(sf, "check", ProofDecl):
-        ann = Annotation.BOT if decl.annotation == "bot" else Annotation.PLAIN
-        report = check_proof(sig, ctx, ann, decl.proof, decl.goal)
-        payload = report.to_dict()
-        payload.pop("derivation", None)
-        print(f"{decl.name}: {json.dumps(payload, sort_keys=True)}", file=out)
-        if not report.ok:
-            code = 1
-    return code
+    def line(report) -> str:
+        return json.dumps(report.to_dict(), sort_keys=True)
+
+    def run(decl, report, _) -> int:
+        print(f"{decl.name}: {line(report)}", file=out)
+        return 0
+
+    return _each_proof(_load(args.file), out, "check", run, rejected=line)
 
 
 def _translate_one(sig: Signature, name: str, a, mode: str, out) -> None:
@@ -180,27 +187,19 @@ def _cmd_translate(args, out) -> int:
 
 def _cmd_extract(args, out) -> int:
     _need("translate", "extract")
+    from .translate import _check_sort
+
     sf = _load(args.file)
-    sig = _signature(sf)
-    ctx = _base_context(sf)
-    axioms = {d.name: d for d in sf.of_type(AxiomDecl)}
-    code = 0
-    for decl, _ in _selected(sf, "extract", ProofDecl):
+    axioms = sf.of_type(AxiomDecl)
+    env = ExtractionEnv({}, {d.name: d.realizer for d in axioms if d.realizer is not None},
+                        frozenset(d.name for d in axioms if d.realizer is None))
+
+    def refuse(decl):
         if decl.annotation == "bot" or contains_control(decl.proof):
-            print(f"{decl.name}: ERROR ControlNodePresent: extraction requires"
-                  " a control-free derivation", file=out)
-            code = 1
-            continue
-        report = check_proof(sig, ctx, Annotation.PLAIN, decl.proof, decl.goal)
-        if not report.ok:
-            print(f"{decl.name}: REJECTED {report.error.kind}: {report.error.message}",
-                  file=out)
-            code = 1
-            continue
-        realizers = {name: d.realizer for name, d in axioms.items()
-                     if d.realizer is not None}
-        unreal = frozenset(name for name, d in axioms.items() if d.realizer is None)
-        env = ExtractionEnv({}, realizers, unreal)
+            return "ERROR ControlNodePresent: extraction requires a control-free derivation"
+        return None
+
+    def run(decl, report, ctx) -> int:
         try:
             term = extract_mr(report.derivation, env)
             sort = mr_type(decl.goal)
@@ -211,36 +210,30 @@ def _cmd_extract(args, out) -> int:
             _check_sort(ctx.term_vars, term, sort, "realizer", infer_term_type)
         except (ExtractionError, TranslationError) as e:
             print(f"{decl.name}: ERROR {e.kind}: {e}", file=out)
-            code = 1
-            continue
+            return 1
         print(f"{decl.name} : {print_type(sort)}", file=out)
         print(f"{decl.name} := {print_term(term)}", file=out)
-    return code
+        return 0
+
+    return _each_proof(sf, out, "extract", run, refuse)
 
 
 def _cmd_eval(args, out) -> int:
     _need("evaluate")
+    from .evaluate import PROOF_FUEL
+
     sf = _load(args.file)
-    sig = _signature(sf)
-    ctx = _base_context(sf)
     fuel, source = args.fuel, "--fuel"
     if fuel is None:
-        env_fuel, source = os.environ.get("DNSK_FUEL", "10000"), "DNSK_FUEL"
+        env_fuel, source = os.environ.get("DNSK_FUEL", str(PROOF_FUEL)), "DNSK_FUEL"
         try:
             fuel = int(env_fuel)
         except ValueError:
             raise _Failure(2, f"DNSK_FUEL must be an integer, got {env_fuel!r}") from None
     if fuel < 0:
         raise _Failure(2, f"{source} must not be negative, got {fuel}")
-    code = 0
-    for decl, _ in _selected(sf, "eval", ProofDecl):
-        ann = Annotation.BOT if decl.annotation == "bot" else Annotation.PLAIN
-        report = check_proof(sig, ctx, ann, decl.proof, decl.goal)
-        if not report.ok:
-            print(f"{decl.name}: REJECTED {report.error.kind}: {report.error.message}",
-                  file=out)
-            code = 1
-            continue
+
+    def run(decl, report, _) -> int:
         try:
             if args.trace:
                 final, steps = normalize_proof(decl.proof, fuel=fuel, trace=True)
@@ -252,8 +245,10 @@ def _cmd_eval(args, out) -> int:
                 print(f"{decl.name} ~> {print_proof(final)}", file=out)
         except EvalError as e:
             print(f"{decl.name}: ERROR {type(e).__name__}: {e}", file=out)
-            code = 1
-    return code
+            return 1
+        return 0
+
+    return _each_proof(sf, out, "eval", run)
 
 
 def _cmd_library(args, out) -> int:

@@ -120,6 +120,8 @@ class FuelExhausted(EvalError):
 # Term normalization by evaluation
 
 TERM_FUEL = 1_000_000
+# normalize_proof's default step budget, and dnsk eval's
+PROOF_FUEL = 10_000
 
 
 class _Clo:
@@ -367,7 +369,7 @@ def _contract(node: ProofTerm, left, v: ProofTerm):
     return None
 
 
-def normalize_proof(p: ProofTerm, fuel: int = 10000, trace: bool = False):
+def normalize_proof(p: ProofTerm, fuel: int = PROOF_FUEL, trace: bool = False):
     """Reduce to a normal form in at most ``fuel`` steps.
 
     Returns the normal form, or (normal form, trace list) when trace=True.

@@ -11,9 +11,9 @@ from typing import Mapping, Optional
 
 from .syntax import (
     App, Arrow, Ascribe, Case, Dest, Efq, ExPair, Forall, Formula, Fst, Hyp, Imp, Inl, Inr,
-    KindedError, Lam, NAT, Or, PApp, Pair, PLam, PPair, Prod, Proj1, Proj2, Rec, Record, Reset,
-    Shift, SimpleType, Snd, STAR, Succ, TApp, Term, TLam, Unit, Var, ZERO, fresh_name,
-    fv_formula, fv_term, node_termvars, subst_term,
+    KindedError, Lam, NAT, NameSupply, Or, PApp, Pair, PLam, PPair, Prod, Proj1, Proj2, Rec,
+    Record, Reset, Shift, SimpleType, Snd, STAR, Succ, TApp, Term, TLam, Unit, Var, ZERO,
+    fresh_name, fv_formula, fv_term, node_termvars, subst_term,
 )
 from .translate import mr_type
 from .typecheck import Derivation
@@ -72,30 +72,14 @@ class _Extractor:
     translate.mr_type), so goals that share subformulas compute their
     sorts once.  ``local`` maps the hypotheses bound above the node being
     extracted to their realizer variables; a binder binds its hypothesis in
-    place and restores the outer binding after its body."""
+    place and restores the outer binding after its body.  ``names`` supplies
+    the realizer variables, avoiding ``avoid`` and the axiom realizers' free variables."""
 
     def __init__(self, env: ExtractionEnv, avoid, memo: dict):
         self.env = env
         self.memo = memo
         self.sorts: dict = {}
-        self.avoid = set(avoid)
-        for t in env.axiom_realizers.values():
-            self.avoid |= fv_term(t)
-        # base -> the index after its last pick (0 is the base itself)
-        self.next: dict = {}
-
-    def fresh(self, base: str) -> str:
-        """fresh_name(base, self.avoid), which then joins self.avoid.  The
-        search resumes after the base's last pick: avoid only grows, so
-        every earlier candidate is still taken."""
-        i = self.next.get(base, 0)
-        name = f"{base}{i}" if i else base
-        while name in self.avoid:
-            i += 1
-            name = f"{base}{i}"
-        self.next[base] = i + 1
-        self.avoid.add(name)
-        return name
+        self.names = NameSupply(set(avoid).union(*map(fv_term, env.axiom_realizers.values())))
 
     def extract(self, d: Derivation, local: dict) -> Term:
         # check_proof makes each rule's subject that rule's proof form, so
@@ -125,7 +109,7 @@ class _Extractor:
         if form is PLam:
             assert isinstance(goal, Imp)
             a = d.subject.hyp
-            v = self.fresh("r")
+            v = self.names.fresh("r")
             outer, local[a] = local.get(a), v
             body = self.extract(kids[0], local)
             _restore(local, a, outer)
@@ -148,7 +132,7 @@ class _Extractor:
         if form is Dest:
             s = self.extract(kids[0], local)
             node = d.subject
-            v = self.fresh("r")
+            v = self.names.fresh("r")
             outer, local[node.hyp] = local.get(node.hyp), v
             body = self.extract(kids[1], local)
             _restore(local, node.hyp, outer)
@@ -160,8 +144,8 @@ class _Extractor:
         if form is Case:
             s = self.extract(kids[0], local)
             case_node = d.subject
-            v1 = self.fresh("r")
-            v2 = self.fresh("r")
+            v1 = self.names.fresh("r")
+            v2 = self.names.fresh("r")
             a = case_node.left_name
             outer, local[a] = local.get(a), v1
             left = self.extract(kids[1], local)

@@ -424,14 +424,6 @@ def parse_proof(src: str) -> ProofTerm:
     return _run(src, "proof")
 
 
-def parse(src: str, what: str):
-    """Parse one of the four categories: 'type', 'term', 'formula', 'proof'."""
-    methods = {"type": "type_", "term": "term", "formula": "formula", "proof": "proof"}
-    if what not in methods:
-        raise ValueError(f"unknown category {what!r}")
-    return _run(src, methods[what])
-
-
 # ---------------------------------------------------------------------------
 # Source files (.dnsk)
 

@@ -304,6 +304,29 @@ def fresh_name(base: str, avoid) -> str:
     return f"{base}{i}"
 
 
+class NameSupply:
+    """Fresh names drawn one after another: each pick is
+    ``fresh_name(base, avoid)``, which then joins ``avoid``.  The search
+    resumes after the base's last pick: avoid only grows, so every earlier
+    candidate is still taken, and the picks of one base test each name once."""
+
+    __slots__ = ("avoid", "_next")
+
+    def __init__(self, avoid):
+        self.avoid = set(avoid)
+        self._next: dict = {}  # base -> the index after its last pick (0 is the base itself)
+
+    def fresh(self, base: str) -> str:
+        i = self._next.get(base, 0)
+        name = f"{base}{i}" if i else base
+        while name in self.avoid:
+            i += 1
+            name = f"{base}{i}"
+        self._next[base] = i + 1
+        self.avoid.add(name)
+        return name
+
+
 _NO_NAMES: frozenset = frozenset()
 
 

@@ -12,8 +12,8 @@ from typing import Mapping, Optional
 
 from .printer import print_type
 from .syntax import (
-    And, App, Arrow, Bot, Eq0, Exists, Forall, Formula, Imp, KindedError, NAT, Or,
-    PredApp, Prod, Proj1, Proj2, Record, Signature, SimpleType, Term, UNIT, Var, ZERO,
+    And, App, Arrow, Bot, Eq0, Exists, Forall, Formula, Imp, KindedError, NAT, NameSupply,
+    Or, PredApp, Prod, Proj1, Proj2, Record, Signature, SimpleType, Term, UNIT, Var, ZERO,
     fresh_name, fv_formula, fv_term, neg, subst_formula,
 )
 from .typecheck import SortError, infer_term_type
@@ -84,19 +84,7 @@ def mr_type(a: Formula, memo: Optional[dict] = None) -> SimpleType:
     return out
 
 
-class _Names:
-    """Deterministic fresh-name supply for clause expansions."""
-
-    def __init__(self, avoid):
-        self.avoid = set(avoid)
-
-    def fresh(self, base: str) -> str:
-        name = fresh_name(base, self.avoid)
-        self.avoid.add(name)
-        return name
-
-
-def _mr(t: Term, a: Formula, names: _Names, with_truth: bool) -> Formula:
+def _mr(t: Term, a: Formula, names: NameSupply, with_truth: bool) -> Formula:
     cls = type(a)
     if cls is PredApp or cls is Eq0 or cls is Bot:
         return a
@@ -138,21 +126,17 @@ def _check_sort(ctx_vars: Mapping[str, SimpleType], t: Term, want: SimpleType,
             kind, f"{role} has sort {print_type(got)}, formula wants {print_type(want)}")
 
 
-def _clause_names(t: Term, a: Formula, extra=()) -> _Names:
-    return _Names(fv_term(t) | fv_formula(a) | set(extra))
-
-
 def mr_formula(sig: Signature, ctx_vars: Mapping[str, SimpleType], t: Term, a: Formula) -> Formula:
     """The formula stating that ``t`` realizes ``a``."""
     _check_sort(ctx_vars, t, mr_type(a), "realizer")
-    return _mr(t, a, _clause_names(t, a, ctx_vars), with_truth=False)
+    return _mr(t, a, NameSupply(fv_term(t) | fv_formula(a) | set(ctx_vars)), with_truth=False)
 
 
 def mrt_formula(sig: Signature, ctx_vars: Mapping[str, SimpleType], t: Term, a: Formula) -> Formula:
     """Realizability with truth: the implication clause keeps the original
     implication as a conjunct."""
     _check_sort(ctx_vars, t, mr_type(a), "realizer")
-    return _mr(t, a, _clause_names(t, a, ctx_vars), with_truth=True)
+    return _mr(t, a, NameSupply(fv_term(t) | fv_formula(a) | set(ctx_vars)), with_truth=True)
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,57 @@ def test_a_name_rebound_on_cli_is_the_one_run_calls(name, module, argv):
     assert calls
 
 
+@pytest.mark.parametrize("module", ["translate", "extract", "evaluate", "theorems"])
+def test_cli_binds_each_name_the_package_exports_from_a_deferred_module(module):
+    # reading one of the module's names on a fresh cli module binds every
+    # name dnsk._EXPORTS lists for it, each the defining module's object
+    spec = importlib.util.find_spec("dnsk.cli")
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert module in fresh._DEFERRED
+    names = dnsk._EXPORTS[module].split()
+    assert not set(names) & set(vars(fresh))
+    getattr(fresh, names[-1])
+    source = sys.modules[f"dnsk.{module}"]
+    for name in names:
+        assert vars(fresh)[name] is getattr(source, name), name
+    with pytest.raises(AttributeError):
+        fresh.nope
+
+
+INTERLEAVED = """pred P(nat).
+term n : nat := S 0.
+axiom a : P(n).
+term m : nat -> nat := fun (z:nat) => z.
+axiom b : 0 = 0 := star.
+axiom c : P(m n).
+proof p : P(m n) := c.
+check p.
+term k : nat := 0.
+axiom d : ~P(k).
+"""
+
+
+def test_base_context_is_the_fold_over_axioms_and_term_declarations():
+    from dnsk.cli import _base_context
+    from dnsk.parser import AxiomDecl, TermDecl, parse_source
+    from dnsk.typecheck import Context
+
+    sf = parse_source(INTERLEAVED)
+    fold = Context()
+    for d in sf.decls:
+        if isinstance(d, AxiomDecl):
+            fold = fold.with_hyp(d.name, d.formula)
+        elif isinstance(d, TermDecl):
+            fold = fold.with_var(d.name, d.sort)
+    ctx = _base_context(sf)
+    assert ctx == fold
+    assert list(ctx.hyps.items()) == list(fold.hyps.items()) == [
+        (d.name, d.formula) for d in sf.decls if isinstance(d, AxiomDecl)]
+    assert list(ctx.term_vars.items()) == list(fold.term_vars.items())
+    assert list(ctx.term_vars) == ["n", "m", "k"]
+
+
 def test_extract_infers_each_realizer_sort_once(monkeypatch, tmp_path):
     # the realizer's sort is checked against the goal's and not inferred
     # again for the printed sort line; every entry point of the inference is
@@ -328,6 +379,19 @@ def test_eval_fuel_and_env(monkeypatch, tmp_path):
     code, out, _ = invoke("eval", str(src))
     assert code == 0
     assert "p ~> a" in out
+
+
+def test_eval_default_budget_is_proof_fuel(monkeypatch):
+    from dnsk import evaluate
+
+    assert evaluate.normalize_proof.__defaults__[0] == evaluate.PROOF_FUEL == 10_000
+    # without --fuel or DNSK_FUEL, dnsk eval reads the constant; the capture
+    # sample takes four steps
+    monkeypatch.delenv("DNSK_FUEL", raising=False)
+    monkeypatch.setattr(evaluate, "PROOF_FUEL", 3)
+    code, out, _ = invoke("eval", sample("capture.dnsk"))
+    assert code == 1
+    assert out.startswith("cap: ERROR FuelExhausted: ")
 
 
 @pytest.mark.parametrize("value", ["abc", "", "1.5"])

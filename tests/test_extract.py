@@ -1,7 +1,6 @@
 """Realizer extraction from control-free derivations."""
 
 import random
-import time
 
 import pytest
 
@@ -13,7 +12,8 @@ from dnsk.extract import (
 from dnsk.parser import parse_formula, parse_proof, parse_type
 from dnsk.printer import print_term
 from dnsk.syntax import (
-    BOT, NAT, Forall, Hyp, Imp, PLam, PredApp, TLam, Var, fresh_name, numeral_value,
+    BOT, NAT, Forall, Hyp, Imp, NameSupply, PLam, PredApp, TLam, Var, fresh_name,
+    numeral_value,
 )
 from dnsk.translate import mr_formula, mr_type
 from dnsk.typecheck import Annotation, Context, Derivation, check_proof, infer_term_type
@@ -94,20 +94,25 @@ def test_binders_restore_the_realizer_they_shadow():
 
 
 def test_fresh_realizer_names_resume_after_the_last_pick():
+    # the extractor's realizer variables come from the shared name supply
+    bases = ("r", "r", "s", "r", "s")
     avoid = {"r", "r2", "s"}
-    ex = _Extractor(ExtractionEnv(), avoid, {})
-    names = [ex.fresh(base) for base in ("r", "r", "s", "r", "s")]
+    supply = NameSupply(avoid)
+    names = [supply.fresh(base) for base in bases]
     expected = []
-    for base in ("r", "r", "s", "r", "s"):
+    for base in bases:
         expected.append(fresh_name(base, avoid))
         avoid.add(expected[-1])
     assert names == expected == ["r1", "r3", "s1", "r4", "s2"]
+    # the extractor's supply also avoids the axiom realizers' free variables
+    ex = _Extractor(ExtractionEnv({}, {"ax": Var("s2")}, frozenset()), {"r", "r2", "s"}, {})
+    assert [ex.names.fresh(base) for base in bases] == ["r1", "r3", "s1", "r4", "s3"]
 
 
-def test_binder_ladder_extracts_in_linear_time():
+def test_binder_ladder_extracts_in_linear_time(monkeypatch):
     # tfun x0 => fun h0 => tfun x1 => ... : each fun takes a fresh realizer
-    # variable and binds its hypothesis, in time that must not grow with the
-    # number of binders above it
+    # variable, and the name supply's probes of its avoid set, counted
+    # exactly, must not grow with the number of binders above it
     def ladder(n):
         goal, proof = BOT, Hyp("b")
         for i in reversed(range(n)):
@@ -117,16 +122,29 @@ def test_binder_ladder_extracts_in_linear_time():
         assert report.ok, report.error
         return report.derivation
 
+    probes = [0]
+
+    class Counted(set):
+        def __contains__(self, name):
+            probes[0] += 1
+            return set.__contains__(self, name)
+
+    class CountedSupply(NameSupply):
+        __slots__ = ()
+
+        def __init__(self, avoid):
+            super().__init__(avoid)
+            self.avoid = Counted(self.avoid)
+
+    monkeypatch.setattr("dnsk.extract.NameSupply", CountedSupply)
     env = ExtractionEnv({"b": "x_b"}, {}, frozenset())
-    cases = {n: ladder(n) for n in (100, 200, 400)}
-    best = dict.fromkeys(cases, float("inf"))
-    for _ in range(7):  # sizes interleaved, so a slow spell hits all of them
-        for n, d in cases.items():
-            start = time.perf_counter()
-            extract_mr(d, env)
-            best[n] = min(best[n], time.perf_counter() - start)
-    t100, t200, t400 = best.values()
-    assert t200 <= 2.5 * t100 and t400 <= 2.5 * t200, best
+    counts = {}
+    for n in (100, 200, 400):
+        probes[0] = 0
+        extract_mr(ladder(n), env)
+        counts[n] = probes[0]
+    # r, r1, r2, ...: one probe per binder, none of them taken
+    assert counts == {100: 100, 200: 200, 400: 400}
 
 
 def test_bot_elim_gives_dummy():
