@@ -1,9 +1,11 @@
 """Command-line front end: check, translate, extract, eval, library.
 
 Exit codes: 0 success, 1 logical failure (rejected proof, stuck or
-unrealizable term), 2 usage or parse error, a file that is not UTF-8, or
-input nested deeper than the Python stack allows (``dnsk: <file>: input
-nested too deeply`` on stderr).  Output is deterministic.
+unrealizable term), 2 usage or parse error, a file that is not UTF-8, an
+ill-sorted term definition or axiom (``dnsk: <file>: <name>: <message>``,
+found before any proof is checked), or input nested deeper than the Python
+stack allows (``dnsk: <file>: input nested too deeply`` on stderr).  Output
+is deterministic.
 
 Every call is a fresh process that compiles what it imports, so this module
 imports only the front end all subcommands run (syntax, parser, printer,
@@ -25,7 +27,7 @@ from .parser import (
 )
 from .printer import print_formula, print_proof, print_term, print_type
 from .syntax import Signature, Var, contains_control, fresh_name, fv_formula, neg
-from .typecheck import Annotation, Context, check_proof, infer_term_type
+from .typecheck import Annotation, Context, SortError, check_proof, infer_term_type, wf_formula
 
 # the modules a subcommand loads when it starts
 _DEFERRED = ("translate", "extract", "evaluate", "theorems")
@@ -82,6 +84,28 @@ def _base_context(sf: SourceFile) -> Context:
                    {d.name: d.formula for d in sf.of_type(AxiomDecl)})
 
 
+def _context(sf: SourceFile, path: str) -> tuple:
+    """The file's signature and base context, after checking that each term
+    definition has its declared sort under the term declarations before it,
+    and each axiom is well-formed under the signature and every term
+    declaration; the first failure in file order is a usage error."""
+    sig, ctx = _signature(sf), _base_context(sf)
+    before: dict = {}
+    for d in sf.decls:
+        try:
+            if type(d) is TermDecl:
+                got = infer_term_type(before, d.term)
+                if got != d.sort:
+                    raise SortError("SortMismatch",
+                                    f"has sort {print_type(got)}, declared {print_type(d.sort)}")
+                before[d.name] = got
+            elif type(d) is AxiomDecl:
+                wf_formula(sig, ctx.term_vars, d.formula)
+        except SortError as e:
+            raise _Failure(2, f"{path}: {d.name}: {e}") from None
+    return sig, ctx
+
+
 def _selected(sf: SourceFile, kind: str, decl_cls) -> list:
     """Decls named by directives of this kind, else all decls of the class."""
     directives = [d for d in sf.of_type(Directive) if d.kind == kind]
@@ -96,14 +120,14 @@ def _selected(sf: SourceFile, kind: str, decl_cls) -> list:
     return picked
 
 
-def _each_proof(sf: SourceFile, out, kind: str, run, refuse=None, rejected=None) -> int:
-    """Check, extract and eval: check each proof declaration the ``kind``
-    directives select under its annotation and the file's axioms and term
-    declarations.  ``refuse(decl)`` may give an error that skips the check; a
-    rejection prints ``rejected(report)`` or a REJECTED line; ``run(decl,
-    report, ctx)`` prints an accepted proof's outcome and returns its exit
-    code.  Returns 1 if any declaration failed, else 0."""
-    sig, ctx = _signature(sf), _base_context(sf)
+def _each_proof(sf: SourceFile, path: str, out, kind: str, run, refuse=None, rejected=None) -> int:
+    """Check, extract and eval: check the file's context (see _context), then
+    each proof declaration the ``kind`` directives select under its
+    annotation and that context.  ``refuse(decl)`` may give an error that
+    skips the check; a rejection prints ``rejected(report)`` or a REJECTED
+    line; ``run(decl, report, ctx)`` prints an accepted proof's outcome and
+    returns its exit code.  Returns 1 if any declaration failed, else 0."""
+    sig, ctx = _context(sf, path)
     code = 0
     for decl, _ in _selected(sf, kind, ProofDecl):
         error = None if refuse is None else refuse(decl)
@@ -129,7 +153,7 @@ def _cmd_check(args, out) -> int:
         print(f"{decl.name}: {line(report)}", file=out)
         return 0
 
-    return _each_proof(_load(args.file), out, "check", run, rejected=line)
+    return _each_proof(_load(args.file), args.file, out, "check", run, rejected=line)
 
 
 def _translate_one(sig: Signature, name: str, a, mode: str, out) -> None:
@@ -215,7 +239,7 @@ def _cmd_extract(args, out) -> int:
         print(f"{decl.name} := {print_term(term)}", file=out)
         return 0
 
-    return _each_proof(sf, out, "extract", run, refuse)
+    return _each_proof(sf, args.file, out, "extract", run, refuse)
 
 
 def _cmd_eval(args, out) -> int:
@@ -248,7 +272,7 @@ def _cmd_eval(args, out) -> int:
             return 1
         return 0
 
-    return _each_proof(sf, out, "eval", run)
+    return _each_proof(sf, args.file, out, "eval", run)
 
 
 def _cmd_library(args, out) -> int:

@@ -272,6 +272,8 @@ class _NbE:
 def normalize_term(term_vars: Mapping, t: Term) -> Term:
     """Full beta/projection/recursor normal form of a well-sorted term.
 
+    It sort-checks the term under ``term_vars`` first and raises ``IllSorted``
+    if the term is ill-sorted, because NbE assumes well-sorted input.
     ``TERM_FUEL`` bounds the closure applications and recursor unfoldings,
     those of read-back included; past it ``FuelExhausted`` is raised."""
     try:

@@ -119,16 +119,13 @@ class _Extractor:
         if form is TLam:
             assert isinstance(goal, Forall)
             return Lam(d.subject.var, goal.sort, self.extract(kids[0], local))
-        if form is Inl:
+        if form is Inl or form is Inr:
+            # the two sides' realizers, a dummy on the side not taken, a 0/1 flag
             assert isinstance(goal, Or)
-            return Pair(
-                Pair(self.extract(kids[0], local), dummy(mr_type(goal.right, self.sorts))),
-                ZERO)
-        if form is Inr:
-            assert isinstance(goal, Or)
-            return Pair(
-                Pair(dummy(mr_type(goal.left, self.sorts)), self.extract(kids[0], local)),
-                Succ(ZERO))
+            r = self.extract(kids[0], local)
+            if form is Inl:
+                return Pair(Pair(r, dummy(mr_type(goal.right, self.sorts))), ZERO)
+            return Pair(Pair(dummy(mr_type(goal.left, self.sorts)), r), Succ(ZERO))
         if form is Dest:
             s = self.extract(kids[0], local)
             node = d.subject

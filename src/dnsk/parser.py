@@ -41,13 +41,6 @@ class ParseError(KernelError):
         self.col = col
 
 
-KEYWORDS = {
-    "nat", "unit", "fun", "star", "rec", "S",
-    "forall", "exists", "bot",
-    "tfun", "shift", "reset", "case", "of", "dest", "as", "in",
-    "fst", "snd", "inl", "inr", "efq",
-}
-
 # longest first where one is a prefix of another
 PUNCT = [
     "=>", "->", "/\\", "\\/", ":=", ".1", ".2",
@@ -61,8 +54,13 @@ PUNCT = [
 SORT_OPS = {"->": (0, Arrow), "*": (1, Prod)}
 FORMULA_OPS = {"->": (1, Imp), "\\/": (2, Or), "/\\": (3, And)}
 
+# Proof prefix operators, proof binders and quantifiers by text; the printer
+# reads these tables too.
 PREFIX_OPS = {"fst": Fst, "snd": Snd, "inl": Inl, "inr": Inr, "efq": Efq, "reset": Reset}
-_BINDERS = {"fun": PLam, "tfun": TLam, "shift": Shift}
+BINDERS = {"fun": PLam, "tfun": TLam, "shift": Shift}
+QUANTIFIERS = {"forall": Forall, "exists": Exists}
+KEYWORDS = {"nat", "unit", "star", "rec", "S", "bot", "case", "of", "dest", "as", "in",
+            *PREFIX_OPS, *BINDERS, *QUANTIFIERS}
 
 # Token classes by text.  Every text that is not punctuation or the end
 # marker "" is a name, a keyword or "0".  An application spine of terms
@@ -205,7 +203,7 @@ class Parser:
         # body reaches to the end of the chain
         toks = self.toks
         t = toks[self.pos]
-        while t == "~" or t == "forall" or t == "exists":
+        while t == "~" or t in QUANTIFIERS:
             self.pos += 1
             if t == "~":
                 stack.append((4, neg, ()))
@@ -214,7 +212,7 @@ class Parser:
                 self.expect(":")
                 s = self.type_()
                 self.expect(".")
-                stack.append((0, Forall if t == "forall" else Exists, (x, s)))
+                stack.append((0, QUANTIFIERS[t], (x, s)))
             t = toks[self.pos]
         if t == "bot":
             self.pos += 1
@@ -328,11 +326,11 @@ class Parser:
         outer = []  # (constructor, fields but the body) of each binder read
         t = toks[self.pos]
         while not spine:
-            if t in _BINDERS:
+            if t in BINDERS:
                 self.pos += 1
                 a = self.ident()
                 self.expect("=>")
-                outer.append((_BINDERS[t], (a,)))
+                outer.append((BINDERS[t], (a,)))
             elif t == "case":
                 self.pos += 1
                 scrut = self.proof(spine=True)

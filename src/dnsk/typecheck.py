@@ -279,6 +279,14 @@ class _Scope:
                     free = free | fv
         return _Scope(self.term_vars, {**self.hyps, name: formula}, free, self.memo)
 
+    def fresh(self, x: str, path: tuple, goal: Optional[Formula] = None) -> None:
+        """The tfun and dest premise: ``x`` is not free in the context, nor
+        in ``goal`` if one is given."""
+        if x in self.free():
+            _fail("FreshnessViolation", path, f"variable {x!r} is not fresh for the context")
+        if goal is not None and x in fv_formula(goal, self.memo):
+            _fail("FreshnessViolation", path, f"variable {x!r} occurs free in the goal")
+
 
 class _Checker:
     """One check_proof call.  ``memo`` holds the free variables of every
@@ -291,6 +299,17 @@ class _Checker:
         self.sig = sig
         self.memo: dict = {}
         self.well_formed: dict = {}
+
+    def has_sort(self, ctx: _Scope, t: Term, want: SimpleType, path: tuple, what: str) -> None:
+        """The premise that ``t``, the witness of an existential pair or the
+        argument of an instantiation, has sort ``want``."""
+        try:
+            got = infer_term_type(ctx.term_vars, t)
+        except SortError as e:
+            _fail(e.kind, path, str(e))
+        if got != want:
+            _fail("SortMismatch", path, f"{what} sort mismatch",
+                  expected=print_type(want), got=print_type(got))
 
     # checking mode ---------------------------------------------------------
 
@@ -313,15 +332,8 @@ class _Checker:
             if not isinstance(goal, Exists):
                 _fail("FormulaMismatch", path, "witness pair against a non-existential",
                       expected="existential", got=print_formula(goal))
-            w = p.witness
-            try:
-                sw = infer_term_type(ctx.term_vars, w)
-            except SortError as e:
-                _fail(e.kind, path + ("witness",), str(e))
-            if sw != goal.sort:
-                _fail("SortMismatch", path + ("witness",), "witness sort mismatch",
-                      expected=print_type(goal.sort), got=print_type(sw))
-            inst = subst_formula(goal.body, goal.var, w, self.memo)
+            self.has_sort(ctx, p.witness, goal.sort, path + ("witness",), "witness")
+            inst = subst_formula(goal.body, goal.var, p.witness, self.memo)
             d = self.check(ctx, ann, p.body, inst, path + ("body",))
             return Derivation("exists_i", ann, p, goal, (d,))
         if cls is PPair:
@@ -336,34 +348,24 @@ class _Checker:
                 _fail("FormulaMismatch", path, "tfun proof against a non-universal",
                       expected="universal", got=print_formula(goal))
             x = p.var
-            if x in ctx.free():
-                _fail("FreshnessViolation", path,
-                      f"variable {x!r} is not fresh for the context")
+            ctx.fresh(x, path)
             inst = subst_formula(goal.body, goal.var, Var(x), self.memo)
             d = self.check(ctx.with_var(x, goal.sort), ann, p.body, inst, path + ("body",))
             return Derivation("forall_i", ann, p, goal, (d,))
-        if cls is Inl:
+        if cls is Inl or cls is Inr:
+            word = "inl" if cls is Inl else "inr"
             if not isinstance(goal, Or):
-                _fail("FormulaMismatch", path, "inl against a non-disjunction",
+                _fail("FormulaMismatch", path, f"{word} against a non-disjunction",
                       expected="disjunction", got=print_formula(goal))
-            d = self.check(ctx, ann, p.arg, goal.left, path + ("inl",))
-            return Derivation("or_i1", ann, p, goal, (d,))
-        if cls is Inr:
-            if not isinstance(goal, Or):
-                _fail("FormulaMismatch", path, "inr against a non-disjunction",
-                      expected="disjunction", got=print_formula(goal))
-            d = self.check(ctx, ann, p.arg, goal.right, path + ("inr",))
-            return Derivation("or_i2", ann, p, goal, (d,))
+            d = self.check(ctx, ann, p.arg, goal.left if cls is Inl else goal.right, path + (word,))
+            return Derivation("or_i1" if cls is Inl else "or_i2", ann, p, goal, (d,))
         if cls is Dest:
             ds, sf = self.synth(ctx, ann, p.scrut, path + ("scrut",))
             if not isinstance(sf, Exists):
                 _fail("ScrutineeNotExists", path + ("scrut",), "dest scrutinee is not an existential",
                       expected="existential", got=print_formula(sf))
             x = p.var
-            if x in ctx.free():
-                _fail("FreshnessViolation", path, f"variable {x!r} is not fresh for the context")
-            if x in fv_formula(goal, self.memo):
-                _fail("FreshnessViolation", path, f"variable {x!r} occurs free in the goal")
+            ctx.fresh(x, path, goal)
             inst = subst_formula(sf.body, sf.var, Var(x), self.memo)
             d = self.check(ctx.with_var(x, sf.sort).with_hyp(p.hyp, inst), ann, p.body, goal,
                            path + ("body",))
@@ -424,32 +426,21 @@ class _Checker:
                       expected="implication", got=print_formula(f))
             da = self.check(ctx, ann, p.arg, f.left, path + ("arg",))
             return Derivation("imp_e", ann, p, f.right, (d, da)), f.right
-        if cls is Fst:
+        if cls is Fst or cls is Snd:
             d, f = self.synth(ctx, ann, p.arg, path + ("arg",))
             if not isinstance(f, And):
-                _fail("FormulaMismatch", path, "fst of a non-conjunction",
+                word = "fst" if cls is Fst else "snd"
+                _fail("FormulaMismatch", path, f"{word} of a non-conjunction",
                       expected="conjunction", got=print_formula(f))
-            return Derivation("and_e1", ann, p, f.left, (d,)), f.left
-        if cls is Snd:
-            d, f = self.synth(ctx, ann, p.arg, path + ("arg",))
-            if not isinstance(f, And):
-                _fail("FormulaMismatch", path, "snd of a non-conjunction",
-                      expected="conjunction", got=print_formula(f))
-            return Derivation("and_e2", ann, p, f.right, (d,)), f.right
+            out = f.left if cls is Fst else f.right
+            return Derivation("and_e1" if cls is Fst else "and_e2", ann, p, out, (d,)), out
         if cls is TApp:
             d, f = self.synth(ctx, ann, p.fn, path + ("fn",))
             if not isinstance(f, Forall):
                 _fail("FormulaMismatch", path, "instantiated a proof of a non-universal",
                       expected="universal", got=print_formula(f))
-            t = p.arg
-            try:
-                st = infer_term_type(ctx.term_vars, t)
-            except SortError as e:
-                _fail(e.kind, path + ("arg",), str(e))
-            if st != f.sort:
-                _fail("SortMismatch", path + ("arg",), "instantiation sort mismatch",
-                      expected=print_type(f.sort), got=print_type(st))
-            inst = subst_formula(f.body, f.var, t, self.memo)
+            self.has_sort(ctx, p.arg, f.sort, path + ("arg",), "instantiation")
+            inst = subst_formula(f.body, f.var, p.arg, self.memo)
             return Derivation("forall_e", ann, p, inst, (d,)), inst
         _fail("NotSynthesizable", path,
               f"{cls.__name__} proof cannot appear in synthesis position; ascribe it")

@@ -54,6 +54,31 @@ def test_missing_file_is_usage_exit():
     assert code == 2
 
 
+# (source, the declaration named and the message of the first failure of
+# the file's context); the proof checks, and names nothing ill-sorted
+ILL_SORTED_CONTEXTS = [
+    ("pred P(nat). pred Q. axiom h : P(star) -> Q. axiom g : P(star). axiom u : R(0).\n"
+     "proof r : Q := h g. check r.\n", "h", "argument of 'P' has sort unit, wanted nat"),
+    ("pred Q. axiom u : R(0). axiom q : Q. proof r : Q := q.\n",
+     "u", "undeclared predicate 'R'"),
+    ("pred Q. term t : nat := star. axiom q : Q. proof r : Q := q.\n",
+     "t", "has sort unit, declared nat"),
+    ("pred Q. term a : nat := b. term b : nat := 0. axiom q : Q. proof r : Q := q.\n",
+     "a", "unbound variable 'b'"),
+]
+
+
+@pytest.mark.parametrize("command", ["check", "extract", "eval"])
+@pytest.mark.parametrize("src, name, message", ILL_SORTED_CONTEXTS,
+                         ids=["ill-sorted", "undeclared", "term-sort", "forward-ref"])
+def test_ill_sorted_context_is_usage_exit(tmp_path, command, src, name, message):
+    # not `r: {"status": "ok"}` with exit 0: the axioms and term definitions
+    # are checked before any proof
+    path = tmp_path / "context.dnsk"
+    path.write_text(src)
+    assert invoke(command, str(path)) == (2, "", f"dnsk: {path}: {name}: {message}\n")
+
+
 def deep_source(name, depth):
     """``deep_fst.dnsk``, a proof ``fst (…)``, or ``deep_numeral.dnsk``, a
     numeral ``S (…)`` in an equation, nested ``depth`` deep."""

@@ -87,6 +87,28 @@ def test_source_rejects_duplicates_and_forward_refs():
         parse_source("check ghost.")
 
 
+# a node of each entry of the tables the parser and the printer share, and
+# its text
+TABLE_NODES = (
+    [(text, ctor(Hyp("h")), f"{text} h") for text, ctor in parser.PREFIX_OPS.items()]
+    + [(text, ctor("x", Hyp("h")), f"{text} x => h") for text, ctor in parser.BINDERS.items()]
+    + [(text, ctor("x", NAT, PredApp("P", (Var("x"),))), f"{text} x:nat. P(x)")
+       for text, ctor in parser.QUANTIFIERS.items()]
+)
+
+
+@pytest.mark.parametrize("text, node, printed", TABLE_NODES, ids=[t for t, _, _ in TABLE_NODES])
+def test_table_entries_print_with_their_text_and_parse_back(text, node, printed):
+    if text in parser.QUANTIFIERS:
+        assert (print_formula(node), parse_formula(printed)) == (printed, node)
+    else:
+        assert (print_proof(node), parse_proof(printed)) == (printed, node)
+
+
+def test_keywords_hold_the_shared_tables():
+    assert {*parser.PREFIX_OPS, *parser.BINDERS, *parser.QUANTIFIERS} <= parser.KEYWORDS
+
+
 def test_formula_roundtrip_property():
     rng = random.Random(2024)
     for _ in range(300):
