@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 logical failure (rejected proof, stuck or
 unrealizable term), 2 usage or parse error, a file that is not UTF-8, an
-ill-sorted term definition or axiom (``dnsk: <file>: <name>: <message>``,
-found before any proof is checked), or input nested deeper than the Python
-stack allows (``dnsk: <file>: input nested too deeply`` on stderr).  Output
-is deterministic.
+ill-sorted term definition, axiom or formula declaration (``dnsk: <file>:
+<name>: <message>``, found before any proof is checked or formula
+translated), or input nested deeper than the Python stack allows (``dnsk:
+<file>: input nested too deeply`` on stderr).  Output is deterministic.
 
 Every call is a fresh process that compiles what it imports, so this module
 imports only the front end all subcommands run (syntax, parser, printer,
@@ -87,8 +87,9 @@ def _base_context(sf: SourceFile) -> Context:
 def _context(sf: SourceFile, path: str) -> tuple:
     """The file's signature and base context, after checking that each term
     definition has its declared sort under the term declarations before it,
-    and each axiom is well-formed under the signature and every term
-    declaration; the first failure in file order is a usage error."""
+    and each axiom and formula declaration is well-formed under the
+    signature and every term declaration; the first failure in file order
+    is a usage error."""
     sig, ctx = _signature(sf), _base_context(sf)
     before: dict = {}
     for d in sf.decls:
@@ -99,7 +100,7 @@ def _context(sf: SourceFile, path: str) -> tuple:
                     raise SortError("SortMismatch",
                                     f"has sort {print_type(got)}, declared {print_type(d.sort)}")
                 before[d.name] = got
-            elif type(d) is AxiomDecl:
+            elif type(d) is AxiomDecl or type(d) is FormulaDecl:
                 wf_formula(sig, ctx.term_vars, d.formula)
         except SortError as e:
             raise _Failure(2, f"{path}: {d.name}: {e}") from None
@@ -195,7 +196,7 @@ def _translate_one(sig: Signature, name: str, a, mode: str, out) -> None:
 def _cmd_translate(args, out) -> int:
     _need("translate")
     sf = _load(args.file)
-    sig = _signature(sf)
+    sig, _ = _context(sf, args.file)
     code = 0
     for decl, dir_mode in _selected(sf, "translate", FormulaDecl):
         mode = dir_mode or args.mode

@@ -51,35 +51,37 @@ segment are replaced by ``reset M[k := fun a => reset F[a]]``.  The name
 F[shift].  No reduction step adds a free name and no frame binds one, so
 every name free at a capture is free in the input.  At the first capture
 one scan of the input, blind to binders, looks for a hypothesis named
-``a``, ``a1``, ... (``syntax.mentions_candidate``); if there is none, every
-capture of the call takes the first name other than k without a walk.
-Otherwise F[shift] is walked for its free candidate names: plugging the
-shift back into the frames it was taken from returns the original nodes,
-so the walk meets nodes it has seen before.  A shift with no reset frame
-below it is ``Stuck``.
+``a``, ``a1``, ... (``mentions_candidate``); if there is none, every capture
+of the call takes the first name other than k without a walk.  Otherwise
+F[shift] is walked for its free candidate names (``free_candidates``):
+plugging the shift back into the frames it was taken from returns the
+original nodes, so the walk meets nodes it has seen before.  A shift with no
+reset frame below it is ``Stuck``.
 
 A capture, a beta step and a reset drop each cost time in the size of the
 frames and redex they touch, not of the whole reset body, so a ladder of
 nested shifts reduces in time linear in its steps (Biernacka and Danvy, "A
 concrete framework for environment machines", 2007).  One call keeps three
 memos keyed by node identity, each made at first use and each entry
-holding its node, so that no identity is reused while the call lasts:
-
-- the free hypothesis names that ``fresh_name("a", ...)`` could pick, for
-  every node the capture has walked (``syntax.free_candidates``);
-- the has-shift flag of every node a reset drop has walked
-  (``syntax.contains_shift``);
-- the arguments of beta steps.  Such an argument reached the step as a
-  normal proof, and normality does not depend on the context: no redex and
-  no shift sits in an evaluation position of it.  Wherever the substitution
-  put it, the machine treats it as normal when it next descends to it,
-  instead of walking it down again.
-
-Plugging a frame reuses the nodes below its hole, and a frame whose hole
-and left part are unchanged is its own node, so after the first capture the
-walks stop at nodes already in the memos.  ``subst_proof_hyp``
+holding its node, so that no identity is reused while the call lasts: the
+free candidate names of every node a capture has walked, the has-shift flag
+(``syntax.contains_shift``) of every node a reset drop has walked, and the
+arguments of beta steps.  Such an argument reached the step as a normal
+proof, and normality does not depend on the context, so wherever the
+substitution put it, the machine does not walk down into it again.  A frame
+whose hole and left part are unchanged is its own node, so after the first
+capture the walks stop at nodes already in the memos.  ``subst_proof_hyp``
 computes the free names of the substituted proof only at the first binder
 it meets, so a beta step into ``reset (f a)`` never reads its argument.
+
+These helpers, substitution in both name spaces, the capture's scan and
+walk, the has-shift walk and plugging (``_plug1``), are most of the
+machine's own time, so they are type-keyed: each reads a node's class once,
+tests it with ``is``, the commonest class first, and reads fields by name,
+where the cold proof walks in ``syntax`` read ``PROOF_SLOTS``.  That takes
+about a fifth off a pass over the benchmark's ``control`` proofs.  The walks
+keep explicit stacks; substitution loops down chains of ``fst``, ``snd``,
+``inl``, ``inr``, ``efq`` and ``reset`` and recurses once per other node.
 
 Each contraction costs one unit of fuel.  Only a traced run plugs the whole
 stack into a configuration at every step.
@@ -90,12 +92,12 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from .syntax import (
-    App, Ascribe, Case, Dest, Eq0, Exists, Forall, Formula, Fst, Hyp,
+    App, Ascribe, Case, Dest, Efq, Eq0, Exists, Forall, Formula, Fst, Hyp,
     Imp, Inl, Inr, KernelError, Lam, NAT, numeral, Or, And,
     Pair, PApp, PLam, PPair, PredApp, ProofTerm, Proj1, Proj2, Rec, Reset,
     Bot, Shift, Signature, Snd, Star, Succ, Term, TApp, TLam, ExPair, Var,
-    Zero, HYP, PROOF, PROOF_SLOTS, VAR, contains_shift, free_candidates, fresh_name,
-    mentions_candidate, subst_formula, subst_proof_hyp, subst_proof_term,
+    Zero, HYP, PROOF, PROOF_SLOTS, VAR, contains_shift, fresh_name, fv_proof_hyps,
+    fv_proof_termvars, fv_term, subst_formula, _NO_NAMES, _kids, _subst_formula, _subst_term,
 )
 from .typecheck import SortError, infer_term_type
 
@@ -285,6 +287,185 @@ def normalize_term(term_vars: Mapping, t: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
+# Proof-term substitution and the machine's walks, type-keyed
+
+# the single-child nodes whose chains substitution walks in a loop
+_PREFIX = frozenset((Fst, Snd, Inl, Inr, Efq, Reset))
+
+
+def subst_proof_hyp(p: ProofTerm, a: str, q: ProofTerm) -> ProofTerm:
+    """Capture-avoiding substitution of a proof term for a hypothesis name."""
+    return _subst(p, HYP, a, q, {HYP: [None], VAR: [None]})
+
+
+def subst_proof_term(p: ProofTerm, x: str, t: Term) -> ProofTerm:
+    """Substitute an individual term for a term variable inside a proof."""
+    return _subst(p, VAR, x, t, {HYP: [_NO_NAMES], VAR: [None]})
+
+
+def _subst(p: ProofTerm, ns: str, x: str, r, rfv: dict) -> ProofTerm:
+    """p[x := r] in name space ``ns`` (HYP or VAR); ``rfv`` maps each name
+    space to a one-element list caching the free names of ``r``, None until
+    the first binder of that name space.  A child under a binder of x stays
+    as it is, binders included; under other binders, see _rebind.  A node
+    none of whose fields changed is returned itself."""
+    cls = type(p)
+    if cls is Hyp:
+        return r if ns is HYP and p.name == x else p
+    if cls is PApp or cls is PPair:
+        f, a = (p.fn, p.arg) if cls is PApp else (p.fst, p.snd)
+        f2, a2 = _subst(f, ns, x, r, rfv), _subst(a, ns, x, r, rfv)
+        return p if f2 is f and a2 is a else cls(f2, a2)
+    if cls in _PREFIX:
+        a = p.body if cls is Reset else p.arg
+        if type(a) not in _PREFIX:
+            q = _subst(a, ns, x, r, rfv)
+            return p if q is a else cls(q)
+        # a chain of two or more is walked down in a loop and rebuilt
+        # bottom up, each node with the old child a that q replaces
+        chain = [p]
+        while type(a) in _PREFIX:
+            chain.append(a)
+            a = a.body if type(a) is Reset else a.arg
+        q = _subst(a, ns, x, r, rfv)
+        for node in reversed(chain):
+            q, a = node if q is a else type(node)(q), node
+        return q
+    if cls is Shift or cls is PLam or cls is TLam:
+        kind, b0 = (VAR, p.var) if cls is TLam else (HYP, p.hyp)
+        if kind is ns and b0 == x:
+            return p
+        b, body = _rebind(kind, b0, p.body, ns, x, r, rfv)
+        body = _subst(body, ns, x, r, rfv)
+        return p if b is b0 and body is p.body else cls(b, body)
+    if cls is Ascribe:
+        body, a = _subst(p.body, ns, x, r, rfv), p.formula
+        if ns is VAR:
+            a = _subst_formula(a, x, r, rfv[VAR])
+        return p if body is p.body and a is p.formula else Ascribe(body, a)
+    if cls is TApp or cls is ExPair:
+        body, t = (p.fn, p.arg) if cls is TApp else (p.body, p.witness)
+        body2 = _subst(body, ns, x, r, rfv)
+        t2 = _subst_term(t, x, r, rfv[VAR]) if ns is VAR else t
+        if body2 is body and t2 is t:
+            return p
+        return TApp(body2, t2) if cls is TApp else ExPair(t2, body2)
+    if cls is Case:
+        sc = _subst(p.scrut, ns, x, r, rfv)
+        h1, b1, h2, b2 = p.left_name, p.left, p.right_name, p.right
+        if ns is VAR or h1 != x:
+            h1, b1 = _rebind(HYP, h1, b1, ns, x, r, rfv)
+            b1 = _subst(b1, ns, x, r, rfv)
+        if ns is VAR or h2 != x:
+            h2, b2 = _rebind(HYP, h2, b2, ns, x, r, rfv)
+            b2 = _subst(b2, ns, x, r, rfv)
+        same = sc is p.scrut and b1 is p.left and b2 is p.right
+        return p if same and h1 is p.left_name and h2 is p.right_name else Case(sc, h1, b1, h2, b2)
+    # a Dest, the one form left
+    sc, v, h, body = _subst(p.scrut, ns, x, r, rfv), p.var, p.hyp, p.body
+    if (v if ns is VAR else h) != x:
+        v, body = _rebind(VAR, v, body, ns, x, r, rfv)
+        h, body = _rebind(HYP, h, body, ns, x, r, rfv)
+        body = _subst(body, ns, x, r, rfv)
+    if sc is p.scrut and v is p.var and h is p.hyp and body is p.body:
+        return p
+    return Dest(sc, v, h, body)
+
+
+def _rebind(kind: str, b: str, child: ProofTerm, ns: str, x: str, r, rfv: dict):
+    """The binder b of name space ``kind`` and the ``child`` it scopes over,
+    as they are unless b is free in r; else b renamed, in the child too,
+    away from the free names of r and the child (and x, in its name space)."""
+    names = rfv[kind]
+    if names[0] is None:
+        names[0] = (fv_term(r) if ns is VAR else
+                    fv_proof_hyps(r) if kind is HYP else fv_proof_termvars(r))
+    if b not in names[0]:
+        return b, child
+    avoid = names[0] | (fv_proof_hyps if kind is HYP else fv_proof_termvars)(child)
+    b2 = fresh_name(b, avoid | {x} if kind is ns else avoid)
+    if kind is HYP:
+        return b2, subst_proof_hyp(child, b, Hyp(b2))
+    return b2, subst_proof_term(child, b, Var(b2))
+
+
+def _is_candidate(name: str, base: str) -> bool:
+    # fresh_name(base, ...) returns base or base followed by digits
+    rest = name[len(base):]
+    return name.startswith(base) and (not rest or rest.isdigit())
+
+
+def free_candidates(p: ProofTerm, base: str, memo: Optional[dict] = None) -> frozenset:
+    """The free hypothesis names of p that fresh_name(base, ...) could
+    return, so that fresh_name(base, free_candidates(p, base) | extra) is
+    fresh_name(base, fv_proof_hyps(p) | extra).  Leaving the other names
+    out keeps each node's set small, so a walk that meets new nodes costs
+    time in their number, not in the names below them.  A post-order walk
+    as in syntax._contains, whose ``memo``, kept across calls with this one
+    base, holds the names of every node walked."""
+    if memo is None:
+        memo = {}
+    entry = memo.get(id(p))
+    if entry is not None:
+        return entry[1]
+    stack = [p]
+    pop, push = stack.pop, stack.append
+    while stack:
+        q = pop()
+        if q is None:
+            q = pop()
+            cls = type(q)
+            if cls is PApp:
+                out = memo[id(q.fn)][1] | memo[id(q.arg)][1]
+            elif cls is Shift or cls is PLam:
+                out, h = memo[id(q.body)][1], q.hyp
+                if h in out:
+                    out = out - {h}
+            elif cls is Case:
+                l, h1, rt, h2 = memo[id(q.left)][1], q.left_name, memo[id(q.right)][1], q.right_name
+                out = (memo[id(q.scrut)][1] | (l - {h1} if h1 in l else l)
+                       | (rt - {h2} if h2 in rt else rt))
+            elif cls is Dest:
+                out, h = memo[id(q.body)][1], q.hyp
+                out = memo[id(q.scrut)][1] | (out - {h} if h in out else out)
+            else:
+                out = _NO_NAMES
+                for c in _kids(q, cls):
+                    out = out | memo[id(c)][1]
+            memo[id(q)] = (q, out)
+        elif id(q) not in memo:
+            cls = type(q)
+            if cls is Hyp:
+                name = q.name
+                memo[id(q)] = (q, frozenset((name,)) if _is_candidate(name, base) else _NO_NAMES)
+            else:
+                push(q)
+                push(None)
+                stack.extend(_kids(q, cls))
+    return memo[id(p)][1]
+
+
+def mentions_candidate(p: ProofTerm, base: str) -> bool:
+    """True if a hypothesis of p, free or bound, has a name that
+    fresh_name(base, ...) could return.  The scan ignores binders, so a
+    False answer means free_candidates(p, base) is empty; it stops at the
+    first such name and enters a shared node once."""
+    seen = set()
+    stack = [p]
+    pop = stack.pop
+    while stack:
+        q = pop()
+        cls = type(q)
+        if cls is Hyp:
+            if _is_candidate(q.name, base):
+                return True
+        elif id(q) not in seen:
+            seen.add(id(q))
+            stack.extend(_kids(q, cls))
+    return False
+
+
+# ---------------------------------------------------------------------------
 # Proof-term reduction
 
 
@@ -294,13 +475,12 @@ def _unwrap(p: ProofTerm) -> ProofTerm:
     return p
 
 
-# The evaluation hole of each constructor that has one, by index and by field
-# name: its first proof slot, unless a binder comes before it (so PLam, TLam
-# and Shift have none).  A pair or application has a second hole, its right
-# part, once its left part is normal.
-_HOLE_AT = {cls: slots.index(PROOF) for cls, slots in PROOF_SLOTS.items()
-            if not {HYP, VAR} & set(slots[:slots.index(PROOF)])}
-_HOLE = {cls: cls.__match_args__[i] for cls, i in _HOLE_AT.items()}
+# The evaluation hole of each constructor that has one, by field name: its
+# first proof slot, unless a binder comes before it (so PLam, TLam and Shift
+# have none).  A pair or application has a second hole, its right part, once
+# its left part is normal.
+_HOLE = {cls: cls.__match_args__[slots.index(PROOF)] for cls, slots in PROOF_SLOTS.items()
+         if not {HYP, VAR} & set(slots[:slots.index(PROOF)])}
 
 # the frames at which a redex can form, other than a reset: an elimination
 # form with an introduction form in its hole (a function on the left for
@@ -312,13 +492,21 @@ def _plug1(node: ProofTerm, left, q: ProofTerm) -> ProofTerm:
     """``node`` with q in its evaluation hole; ``left`` is None, or the normal
     left part of a pair or application whose right part is the hole."""
     cls = type(node)
-    vals = list(cls._values(node))
-    i = _HOLE_AT[cls]
-    if left is not None:
-        vals[i] = left
-        i += 1
-    vals[i] = q
-    return cls(*vals)
+    if cls is PPair:
+        return PPair(q, node.snd) if left is None else PPair(left, q)
+    if cls is PApp:
+        return PApp(q, node.arg) if left is None else PApp(left, q)
+    if cls is Reset or cls is Fst or cls is Snd or cls is Inl or cls is Inr or cls is Efq:
+        return cls(q)
+    if cls is TApp:
+        return TApp(q, node.arg)
+    if cls is Ascribe:
+        return Ascribe(q, node.formula)
+    if cls is ExPair:
+        return ExPair(node.witness, q)
+    if cls is Case:
+        return Case(q, node.left_name, node.left, node.right_name, node.right)
+    return Dest(q, node.var, node.hyp, node.body)
 
 
 def _plug(frames, q: ProofTerm) -> ProofTerm:

@@ -18,16 +18,16 @@ fv_term and fv_formula take an optional memo of free variables by node
 identity, which check_proof and extract_mr keep for one call; given it, a
 substitution does not enter a subtree in which its variable is not free.
 
-Proof terms have two name spaces, hypotheses and individual variables, and
-are traversed through one table, PROOF_SLOTS: it gives each constructor but
-Hyp the kind of every field in field order, a proof child, a term, a
-formula or a binder of either name space, and a binder scopes over the next
-proof child.  Free names, substitution, alpha-equivalence and the occurs
-checks read it.  Every proof walk but substitution keeps an explicit stack,
-so its depth is not bounded by the Python stack: the free names of either
-name space and the occurs checks are post-order walks that can share a memo
-across calls (see _memo_walk), and alpha-equivalence compares node pairs
-from a stack.  Substitution recurses once per proof node.
+Proof terms have two name spaces, hypotheses and individual variables.
+The table PROOF_SLOTS gives each constructor but Hyp the kind of every
+field in field order, a proof child, a term, a formula or a binder of either
+name space, and a binder scopes over the next proof child.  The cold proof
+walks read it: the free names of either name space (a post-order walk) and
+alpha-equivalence (node pairs from a stack).  The occurs checks of Shift and
+Reset, which the proof machine runs, read each node's proof children by
+name (_kids), as the machine's substitution and capture walks in evaluate
+do.  Every proof walk here keeps an explicit stack, so its depth is not
+bounded by the Python stack.
 """
 
 from __future__ import annotations
@@ -716,10 +716,8 @@ PROOF_SLOTS = {
     Ascribe: (PROOF, FORMULA),
 }
 
-# free variables, substitution (given a cache of the replacement's free
-# variables) and alpha-equivalence of a term or formula slot
-_LEAF_OPS = {TERM: (fv_term, _subst_term, _aeq_term),
-             FORMULA: (fv_formula, _subst_formula, _aeq_formula)}
+# free variables and alpha-equivalence of a term or formula slot
+_LEAF_OPS = {TERM: (fv_term, _aeq_term), FORMULA: (fv_formula, _aeq_formula)}
 
 
 def _plan(cls, slots) -> tuple:
@@ -741,181 +739,46 @@ def _plan(cls, slots) -> tuple:
 _PLANS = {cls: _plan(cls, slots) for cls, slots in PROOF_SLOTS.items()}
 
 
-def _subst(p: ProofTerm, ns: str, x: str, r, rfv: Mapping) -> ProofTerm:
-    """p[x := r] in name space ``ns``, where ``rfv`` maps each name space to
-    a one-element list caching the free names of ``r``, or None until the
-    first binder of that name space is met.  A child under a binder of x
-    stays as it is, binders included.  Under other binders, each one free in
-    r is renamed first, in field order, whether or not x occurs in the
-    child.  A node none of whose fields changed is returned itself, so
-    untouched subtrees stay shared."""
-    cls = type(p)
-    if cls is Hyp:
-        return r if ns == HYP and p.name == x else p
-    get, children, leaves = _PLANS[cls]
-    # the field values, copied into a list at the first one that changes
-    old = vals = get(p)
-    for i, binders in children:
-        child = vals[i]
-        shadowed = False
-        for j, kind in binders:
-            if kind == ns and vals[j] == x:
-                shadowed = True
-                break
-        if shadowed:
-            continue
-        for j, kind in binders:
-            b = vals[j]
-            names = rfv[kind]
-            if names[0] is None:
-                names[0] = _free_names(r, kind) if ns == HYP else fv_term(r)
-            if b in names[0]:
-                avoid = names[0] | _free_names(child, kind)
-                b2 = fresh_name(b, avoid | {x} if kind == ns else avoid)
-                if kind == HYP:
-                    child = subst_proof_hyp(child, b, Hyp(b2))
-                else:
-                    child = subst_proof_term(child, b, Var(b2))
-                if vals is old:
-                    vals = list(old)
-                vals[j] = b2
-        child = _subst(child, ns, x, r, rfv)
-        if child is not vals[i]:
-            if vals is old:
-                vals = list(old)
-            vals[i] = child
-    if ns == VAR:
-        for i, _, subst, _ in leaves:
-            leaf = subst(vals[i], x, r, rfv[VAR])
-            if leaf is not vals[i]:
-                if vals is old:
-                    vals = list(old)
-                vals[i] = leaf
-    return p if vals is old else cls(*vals)
-
-
-def _memo_walk(p: ProofTerm, memo: dict, leaves: Mapping, at_node):
-    """The result of p in a post-order walk with an explicit stack.  A node
-    of a class in ``leaves`` gets ``leaves[cls](node)``; any other gets
-    ``at_node(vals, children, slots, memo)`` from its field values, proof
-    children and term and formula slots (as in _PLANS), the children's
-    results being in ``memo``.  ``memo`` maps id(node) to (node, result):
-    holding the node keeps its id from being reused while the memo lives,
-    so one memo can serve many calls on proofs that share nodes."""
-    entry = memo.get(id(p))
-    if entry is not None:
-        return entry[1]
+def _free_names(p: ProofTerm, ns: str) -> frozenset:
+    """Free names of a proof term in name space ``ns`` (HYP or VAR), in a
+    post-order walk with an explicit stack (see _contains) that reads the
+    plans: those of each proof child less the binders of ns over it, and
+    for VAR also the free variables of the term and formula slots, read
+    through the walk's memo (as in fv_term)."""
+    memo: dict = {}
     stack = [p]
     pop, push = stack.pop, stack.append
     while stack:
         q = pop()
         if q is None:
-            # a node below this mark has the results of all its children
             q = pop()
             get, children, slots = _PLANS[type(q)]
-            memo[id(q)] = (q, at_node(get(q), children, slots, memo))
+            vals = get(q)
+            out = _NO_NAMES
+            for i, binders in children:
+                fv = memo[id(vals[i])][1]
+                if fv:
+                    for j, kind in binders:
+                        if kind == ns:
+                            fv = fv - {vals[j]}
+                    out = out | fv if out else fv
+            if ns == VAR:
+                for i, leaf_fv, _ in slots:
+                    out = out | leaf_fv(vals[i], memo)
+            memo[id(q)] = (q, out)
         elif id(q) not in memo:
-            cls = type(q)
-            leaf = leaves.get(cls)
-            if leaf is not None:
-                memo[id(q)] = (q, leaf(q))
+            if type(q) is Hyp:
+                memo[id(q)] = (q, frozenset((q.name,)) if ns == HYP else _NO_NAMES)
             else:
                 push(q)
                 push(None)
-                get, children, _ = _PLANS[cls]
-                vals = get(q)
-                for i, _ in children:
-                    push(vals[i])
+                stack.extend(_kids(q, type(q)))
     return memo[id(p)][1]
-
-
-def _any_child(vals, children, slots, memo) -> bool:
-    for i, _ in children:
-        if memo[id(vals[i])][1]:
-            return True
-    return False
-
-
-_no, _yes = (lambda p: False), (lambda p: True)
-_SHIFT_LEAVES = {Hyp: _no, Shift: _yes}
-_CONTROL_LEAVES = {Hyp: _no, Shift: _yes, Reset: _yes}
-
-
-def _free_at(ns: str):
-    """The at-node rule of the free names in name space ``ns`` (HYP or
-    VAR): those of each proof child less the binders of ns over it, and for
-    VAR also the free variables of the term and formula slots, read through
-    the walk's memo (as in fv_term)."""
-    def at_node(vals, children, slots, memo):
-        out = _NO_NAMES
-        for i, binders in children:
-            fv = memo[id(vals[i])][1]
-            if fv:
-                for j, kind in binders:
-                    if kind == ns:
-                        fv = fv - {vals[j]}
-                out = out | fv if out else fv
-        if ns == VAR:
-            for i, leaf_fv, _, _ in slots:
-                out = out | leaf_fv(vals[i], memo)
-        return out
-    return at_node
-
-
-_FREE_AT = {HYP: _free_at(HYP), VAR: _free_at(VAR)}
-_FREE_LEAVES = {HYP: {Hyp: lambda q: frozenset((q.name,))}, VAR: {Hyp: lambda q: _NO_NAMES}}
-
-
-def _free_names(p: ProofTerm, ns: str) -> frozenset:
-    """Free names of a proof term in name space ``ns`` (HYP or VAR)."""
-    return _memo_walk(p, {}, _FREE_LEAVES[ns], _FREE_AT[ns])
 
 
 def fv_proof_hyps(p: ProofTerm) -> frozenset:
     """Free hypothesis names of a proof term."""
     return _free_names(p, HYP)
-
-
-def free_candidates(p: ProofTerm, base: str, memo: Optional[dict] = None) -> frozenset:
-    """The free hypothesis names of p that fresh_name(base, ...) could
-    return, so that fresh_name(base, free_candidates(p, base) | extra) is
-    fresh_name(base, fv_proof_hyps(p) | extra).  Leaving the other names
-    out keeps each node's set small, so a walk that meets new nodes costs
-    time in their number, not in the names below them.  ``memo``, kept
-    across calls with this one base, holds the names of every node walked
-    (see _memo_walk)."""
-    def leaf(q):
-        return frozenset((q.name,)) if _is_candidate(q.name, base) else _NO_NAMES
-    return _memo_walk(p, {} if memo is None else memo, {Hyp: leaf}, _FREE_AT[HYP])
-
-
-def _is_candidate(name: str, base: str) -> bool:
-    # fresh_name(base, ...) returns base or base followed by digits
-    rest = name[len(base):]
-    return name.startswith(base) and (not rest or rest.isdigit())
-
-
-def mentions_candidate(p: ProofTerm, base: str) -> bool:
-    """True if a hypothesis of p, free or bound, has a name that
-    fresh_name(base, ...) could return.  The scan ignores binders, so a
-    False answer means free_candidates(p, base) is empty; it stops at the
-    first such name and enters a shared node once."""
-    seen = set()
-    stack = [p]
-    pop, push = stack.pop, stack.append
-    while stack:
-        q = pop()
-        cls = type(q)
-        if cls is Hyp:
-            if _is_candidate(q.name, base):
-                return True
-        elif id(q) not in seen:
-            seen.add(id(q))
-            get, children, _ = _PLANS[cls]
-            vals = get(q)
-            for i, _ in children:
-                push(vals[i])
-    return False
 
 
 def fv_proof_termvars(p: ProofTerm) -> frozenset:
@@ -935,21 +798,11 @@ def node_termvars(p: ProofTerm, memo: dict) -> frozenset:
     get, children, leaves = plan
     vals = get(p)
     out = _NO_NAMES
-    for i, leaf_fv, _, _ in leaves:
+    for i, leaf_fv, _ in leaves:
         out = out | leaf_fv(vals[i], memo)
     for _, binders in children:
         out = out | {vals[j] for j, kind in binders if kind == VAR}
     return out
-
-
-def subst_proof_hyp(p: ProofTerm, a: str, q: ProofTerm) -> ProofTerm:
-    """Capture-avoiding substitution of a proof term for a hypothesis name."""
-    return _subst(p, HYP, a, q, {HYP: [None], VAR: [None]})
-
-
-def subst_proof_term(p: ProofTerm, x: str, t: Term) -> ProofTerm:
-    """Substitute an individual term for a term variable inside a proof."""
-    return _subst(p, VAR, x, t, {HYP: [_NO_NAMES], VAR: [None]})
 
 
 def alpha_eq_proof(a: ProofTerm, b: ProofTerm) -> bool:
@@ -969,7 +822,7 @@ def alpha_eq_proof(a: ProofTerm, b: ProofTerm) -> bool:
             continue
         get, children, leaves = _PLANS[cls]
         va, vb = get(a), get(b)
-        for i, _, _, aeq in leaves:
+        for i, _, aeq in leaves:
             if not aeq(va[i], vb[i], ta, tb, n):
                 return False
         # pushed last first, so that the children are compared left to right
@@ -985,15 +838,65 @@ def alpha_eq_proof(a: ProofTerm, b: ProofTerm) -> bool:
     return True
 
 
+def _kids(q: ProofTerm, cls) -> tuple:
+    """The proof children of q, a node of class cls other than Hyp."""
+    if cls is PApp:
+        return q.fn, q.arg
+    if (cls is Reset or cls is Shift or cls is PLam or cls is Ascribe or cls is TLam
+            or cls is ExPair):
+        return (q.body,)
+    if cls is PPair:
+        return q.fst, q.snd
+    if cls is TApp:
+        return (q.fn,)
+    if cls is Case:
+        return q.scrut, q.left, q.right
+    if cls is Dest:
+        return q.scrut, q.body
+    return (q.arg,)
+
+
+def _contains(p: ProofTerm, memo: dict, marks: tuple) -> bool:
+    """True if a node of a class in ``marks`` occurs in p: a post-order walk
+    with an explicit stack, in which a node waits under a None mark until
+    its children are done.  ``memo`` maps id(node) to (node, answer) for
+    every node walked; holding the node keeps its id from being reused, so
+    one memo can serve many calls on proofs that share nodes."""
+    entry = memo.get(id(p))
+    if entry is not None:
+        return entry[1]
+    stack = [p]
+    pop, push = stack.pop, stack.append
+    while stack:
+        q = pop()
+        if q is None:
+            q = pop()
+            for c in _kids(q, type(q)):
+                if memo[id(c)][1]:
+                    memo[id(q)] = (q, True)
+                    break
+            else:
+                memo[id(q)] = (q, False)
+        elif id(q) not in memo:
+            cls = type(q)
+            if cls is Hyp or cls in marks:
+                memo[id(q)] = (q, cls is not Hyp)
+            else:
+                push(q)
+                push(None)
+                stack.extend(_kids(q, cls))
+    return memo[id(p)][1]
+
+
 def contains_control(p: ProofTerm) -> bool:
     """True if any Shift or Reset node occurs anywhere in the proof."""
-    return _memo_walk(p, {}, _CONTROL_LEAVES, _any_child)
+    return _contains(p, {}, (Shift, Reset))
 
 
 def contains_shift(p: ProofTerm, memo: Optional[dict] = None) -> bool:
     """True if a Shift node occurs anywhere in the proof.  ``memo``, kept
-    across calls, holds the answer for every node walked (see _memo_walk)."""
-    return _memo_walk(p, {} if memo is None else memo, _SHIFT_LEAVES, _any_child)
+    across calls, holds the answer for every node walked (see _contains)."""
+    return _contains(p, {} if memo is None else memo, (Shift,))
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from typing import Callable
 
-from dnsk.evaluate import FuelExhausted, Stuck
+from dnsk.evaluate import FuelExhausted, Stuck, subst_proof_hyp, subst_proof_term
 from dnsk.syntax import (
     App, Ascribe, Case, Dest, Efq, ExPair, Forall, Fst, Hyp, Imp, Inl, Inr,
     Lam, PApp, Pair, PLam, PPair, ProofTerm, Proj1, Proj2, Rec, Reset, Shift,
     Snd, Star, Succ, TApp, Term, TLam, Var, Zero, contains_shift, fresh_name,
-    fv_proof_hyps, subst_formula, subst_proof_hyp, subst_proof_term,
+    fv_proof_hyps, subst_formula,
 )
 from reference_syntax import subst_term
 

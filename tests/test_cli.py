@@ -79,6 +79,40 @@ def test_ill_sorted_context_is_usage_exit(tmp_path, command, src, name, message)
     assert invoke(command, str(path)) == (2, "", f"dnsk: {path}: {name}: {message}\n")
 
 
+# (source, the declaration named and the message of the first failure in
+# file order) for formula declarations, which every command checks as it
+# checks axioms
+ILL_FORMED_FORMULAS = [
+    ("pred P(nat). formula F := R(star) /\\ P(star).\n", "F", "undeclared predicate 'R'"),
+    ("pred P(nat). formula F := P(0). formula G := P(star). axiom u : R(0).\n",
+     "G", "argument of 'P' has sort unit, wanted nat"),
+    ("pred P(nat). term t : nat := 0. formula F := forall x:nat. P(x) -> P(t).\n"
+     "formula G := P(x).\n", "G", "unbound variable 'x'"),
+    ("pred P(nat). formula F := P(0). axiom u : R(0). formula G := P(star).\n",
+     "u", "undeclared predicate 'R'"),
+]
+
+
+@pytest.mark.parametrize("argv", [["translate", "--mode", "kuroda"], ["translate", "--mode", "dia"],
+                                  ["check"]], ids=["kuroda", "dia", "check"])
+@pytest.mark.parametrize("src, name, message", ILL_FORMED_FORMULAS,
+                         ids=["undeclared", "ill-sorted", "unbound", "axiom-first"])
+def test_ill_formed_formula_is_usage_exit(tmp_path, argv, src, name, message):
+    # translate once printed a translation of these with exit 0
+    path = tmp_path / "formulas.dnsk"
+    path.write_text(src)
+    assert invoke(*argv, str(path)) == (2, "", f"dnsk: {path}: {name}: {message}\n")
+
+
+@pytest.mark.parametrize("src, name, message", ILL_SORTED_CONTEXTS,
+                         ids=["ill-sorted", "undeclared", "term-sort", "forward-ref"])
+def test_translate_checks_the_context(tmp_path, src, name, message):
+    path = tmp_path / "context.dnsk"
+    path.write_text(src + "formula F := Q.\n")
+    expected = (2, "", f"dnsk: {path}: {name}: {message}\n")
+    assert invoke("translate", "--mode", "mr", str(path)) == expected
+
+
 def deep_source(name, depth):
     """``deep_fst.dnsk``, a proof ``fst (…)``, or ``deep_numeral.dnsk``, a
     numeral ``S (…)`` in an equation, nested ``depth`` deep."""

@@ -16,11 +16,11 @@ import sys
 
 import reference_evaluate as ref
 from dnsk import evaluate
-from dnsk.evaluate import FuelExhausted, Stuck, _plug, normalize_proof
+from dnsk.evaluate import FuelExhausted, Stuck, _plug, normalize_proof, subst_proof_hyp
 from dnsk.syntax import (
     And, Ascribe, BOT, Case, Dest, Efq, Eq0, ExPair, Exists, Forall, Fst, Hyp,
     Imp, Inl, Inr, NAT, Or, PApp, PLam, PPair, PredApp, Reset, Shift, Snd,
-    Succ, TApp, TLam, Var, ZERO, subst_proof_hyp,
+    Succ, TApp, TLam, Var, ZERO,
 )
 from dnsk.theorems import build_library
 

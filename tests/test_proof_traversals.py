@@ -1,10 +1,11 @@
-"""The proof traversals derived from the slot table against the hand-written
-ones they replaced (``reference_syntax``), on random proofs over all 17
-constructors.  The name pools are tiny and share ``x`` and ``x1`` between
-hypotheses and individual variables, so capture and shadowing happen often,
-and a fresh name for ``x`` can clash with a free ``x1``.  The check also
-runs without pytest, on the standard library alone, with ``scale`` times the
-random proofs of the tier-1 run:
+"""The proof traversals, derived from the slot table or type-keyed, against
+the hand-written ones they replaced (``reference_syntax``), on random proofs
+over all 17 constructors and on one node of each proof form.  The name
+pools are tiny and share ``x`` and ``x1`` between hypotheses and individual
+variables, so capture and shadowing happen often, and a fresh name for
+``x`` can clash with a free ``x1``.  The check also runs without pytest, on
+the standard library alone, with ``scale`` times the random proofs of the
+tier-1 run:
 
     PYTHONPATH=src python tests/test_proof_traversals.py [scale]
 """
@@ -14,7 +15,7 @@ import sys
 from typing import get_args
 
 import reference_syntax as ref
-from dnsk import syntax
+from dnsk import evaluate, syntax
 from dnsk.syntax import (
     App, BOT, Eq0, Exists, Forall, Hyp, Imp, Lam, NAT, Pair, PredApp, Proj1,
     STAR, Succ, Var, ZERO,
@@ -115,21 +116,21 @@ def derived_traversals_agree(cases):
         assert syntax.fv_proof_termvars(p) == ref.fv_proof_termvars(p)
         assert syntax.contains_control(p) == ref.contains_control(p)
         assert syntax.contains_shift(p) == ref.contains_shift(p)
-        sh = syntax.subst_proof_hyp(p, a, q)
+        sh = evaluate.subst_proof_hyp(p, a, q)
         assert sh == ref.subst_proof_hyp(p, a, q)
-        st = syntax.subst_proof_term(p, x, t)
+        st = evaluate.subst_proof_term(p, x, t)
         assert st == ref.subst_proof_term(p, x, t)
         # a substitution that finds nothing to replace or rename returns p
-        assert syntax.subst_proof_hyp(p, "zz", Hyp("zz1")) is p
+        assert evaluate.subst_proof_hyp(p, "zz", Hyp("zz1")) is p
         # renamed variants: substituting for an absent name renames every
         # binder the replacement mentions, so these are alpha-equal to p;
         # the others rename a free name or rebind a body and mostly are not
         renamed = [
-            syntax.subst_proof_hyp(p, "z", Hyp(rng.choice(HYPS))),
-            syntax.subst_proof_term(p, "z", Var(rng.choice(VARS))),
+            evaluate.subst_proof_hyp(p, "z", Hyp(rng.choice(HYPS))),
+            evaluate.subst_proof_term(p, "z", Var(rng.choice(VARS))),
         ]
         others = [
-            syntax.subst_proof_hyp(p, rng.choice(HYPS), Hyp(rng.choice(HYPS))),
+            evaluate.subst_proof_hyp(p, rng.choice(HYPS), Hyp(rng.choice(HYPS))),
             rebind(rng, p),
             q,
         ]
@@ -137,6 +138,48 @@ def derived_traversals_agree(cases):
             assert syntax.alpha_eq_proof(p, v) and ref.alpha_eq_proof(p, v)
         for v in others:
             assert syntax.alpha_eq_proof(p, v) == ref.alpha_eq_proof(p, v)
+
+
+def one_node(cls, i, special, hyp_binder, var_binder):
+    """A node of class cls with ``special`` in its i-th field, which is a
+    proof slot, the hypothesis b in every other proof slot, the binder
+    names given, x in its term slot and P(x) in its formula slot."""
+    fill = {
+        syntax.PROOF: Hyp("b"),
+        syntax.TERM: Var("x"),
+        syntax.FORMULA: PredApp("P", (Var("x"),)),
+        syntax.HYP: hyp_binder,
+        syntax.VAR: var_binder,
+    }
+    vals = [fill[kind] for kind in syntax.PROOF_SLOTS[cls]]
+    vals[i] = special
+    return cls(*vals)
+
+
+def test_typed_walks_cover_every_proof_form():
+    # each proof slot of each form in turn holds a1, which the walks must
+    # reach: as a hypothesis, under a term application, under a shift and
+    # at the foot of a prefix chain; the binders shadow a1 or x, are free in
+    # the replacement, take a name of the other name space, or none of these
+    specials = [Hyp("a1"), syntax.TApp(Hyp("a1"), Var("x")), syntax.Shift("k", Hyp("a1")),
+                syntax.Efq(syntax.Reset(Hyp("a1")))]
+    for cls, slots in syntax.PROOF_SLOTS.items():
+        for i in [i for i, kind in enumerate(slots) if kind == syntax.PROOF]:
+            for special in specials:
+                for h, v in (("h", "v"), ("a1", "x"), ("c", "z"), ("x", "a1")):
+                    p = one_node(cls, i, special, h, v)
+                    for a, q in (("a1", Hyp("c")), ("a1", Hyp("h")), ("b", Hyp("a1"))):
+                        assert evaluate.subst_proof_hyp(p, a, q) == ref.subst_proof_hyp(p, a, q), p
+                    for x, t in (("x", Var("z")), ("x", Var("v")), ("y", ZERO)):
+                        assert evaluate.subst_proof_term(p, x, t) == ref.subst_proof_term(p, x, t), p
+                    fv = ref.fv_proof_hyps(p)
+                    for base in ("a", "b", "c"):
+                        names = {n for n in fv if n in (base, base + "1")}
+                        assert evaluate.free_candidates(p, base) == names, p
+                        mentioned = bool(hyp_names(p) & {base, base + "1"})
+                        assert evaluate.mentions_candidate(p, base) == mentioned, p
+                    assert syntax.contains_shift(p) == ref.contains_shift(p), p
+                    assert syntax.contains_control(p) == ref.contains_control(p), p
 
 
 def test_memoized_walks_match_hand_written():
@@ -168,11 +211,11 @@ def memoized_walks_agree(n):
         proofs.append(p)
         fv = ref.fv_proof_hyps(p)
         for base in ("a", "x"):
-            names = syntax.free_candidates(p, base, memos[base])
+            names = evaluate.free_candidates(p, base, memos[base])
             assert names == {n for n in fv if n in (base, base + "1")}
             k = rng.choice(HYPS)
             assert syntax.fresh_name(base, names | {k}) == syntax.fresh_name(base, fv | {k})
-            mentioned = syntax.mentions_candidate(p, base)
+            mentioned = evaluate.mentions_candidate(p, base)
             assert mentioned == bool(hyp_names(p) & {base, base + "1"})
             assert mentioned or not names
         assert syntax.contains_shift(p, memos["shift"]) == ref.contains_shift(p)
@@ -181,6 +224,7 @@ def memoized_walks_agree(n):
 if __name__ == "__main__":
     scale = int(sys.argv[1]) if len(sys.argv) > 1 else 1
     test_generator_covers_every_constructor()
+    test_typed_walks_cover_every_proof_form()
     derived_traversals_agree(CASES * scale)
     memoized_walks_agree(2000 * scale)
     print(f"python {sys.version.split()[0]}: {CASES * scale} random proofs through every "

@@ -5,13 +5,13 @@ import random
 import pytest
 
 from dnsk.syntax import (
-    And, App, Ascribe, PPair, Efq, Eq0, Exists, Forall, Fst, Hyp, Imp, Inl, Lam, NAT, Pair, PLam,
-    PredApp, Reset, Shift, Snd, Succ, TLam, Var, ZERO, alpha_eq_formula, alpha_eq_proof,
-    alpha_eq_term, contains_control, contains_shift, free_candidates, fresh_name,
-    mentions_candidate,
+    And, App, Ascribe, PPair, Efq, Eq0, Exists, Forall, Fst, Hyp, Imp, Inl, Inr, Lam, NAT, Pair,
+    PLam, PredApp, Reset, Shift, Snd, Succ, TLam, Var, ZERO, alpha_eq_formula, alpha_eq_proof,
+    alpha_eq_term, contains_control, contains_shift, fresh_name,
     fv_formula, fv_proof_hyps, fv_proof_termvars, fv_term, neg, numeral, numeral_value,
-    subst_formula, subst_proof_term, subst_term,
+    subst_formula, subst_term,
 )
+from dnsk.evaluate import free_candidates, mentions_candidate, subst_proof_hyp, subst_proof_term
 from dnsk.theorems import build_library
 from conftest import random_formula
 
@@ -158,8 +158,8 @@ def binder_ladder(leaf):
 # Each walk on each shape over the leaf h (the chain) or a (the ladder), and
 # its result there.  alpha_eq_proof compares two distinct copies, then a
 # copy over another leaf.  Substitution (subst_proof_hyp, subst_proof_term)
-# still recurses once per node, so it is not in the table: ROADMAP item W
-# keeps it open.
+# walks prefix chains in a loop but recurses once per binder, so it is not
+# in the table: test_substitution_loops_over_prefix_chains covers the chain.
 DEPTH_TABLE = [
     ("fv_proof_hyps", lambda build, leaf: fv_proof_hyps(build(leaf)), {"h"}, {"a"}),
     ("fv_proof_termvars", lambda build, leaf: fv_proof_termvars(build(leaf)), set(), {"y"}),
@@ -181,6 +181,23 @@ def test_proof_walks_at_depth(run, on_chain, on_ladder, shape):
         assert run(prefix_chain, "h") == on_chain
     else:
         assert run(binder_ladder, "a") == on_ladder
+
+
+def test_substitution_loops_over_prefix_chains():
+    p = prefix_chain("h")
+    assert alpha_eq_proof(subst_proof_hyp(p, "h", Hyp("b")), prefix_chain("b"))
+    assert subst_proof_hyp(p, "b", Hyp("c")) is p
+    assert subst_proof_term(p, "x", Var("y")) is p
+    # the chain above a changed node is rebuilt, an unchanged child shared
+    h = Hyp("h")
+    q = Inr(PPair(h, Hyp("k")))
+    for _ in range(DEPTH):
+        q = Efq(q)
+    out = subst_proof_hyp(q, "k", Hyp("b"))
+    for _ in range(DEPTH):
+        assert type(out) is Efq
+        out = out.arg
+    assert type(out) is Inr and out.arg.fst is h and out.arg.snd == Hyp("b")
 
 
 def test_candidate_scan_enters_a_shared_node_once():
